@@ -74,7 +74,6 @@ from .shells import (
 )
 from .spheres import (
     SphereReport,
-    induced_metric_at,
     intrinsic_scalar_curvature_at,
     mean_curvature_at,
     sphere_area,

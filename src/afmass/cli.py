@@ -2,7 +2,7 @@
 
 Usage:
 
-    afmass --config run.json [--out DIR] [--quadrature Q] [--threads K]
+    afmass --config run.json [--out DIR] [--quadrature Q]
 
 The config document selects one command and its inputs:
 
@@ -59,7 +59,7 @@ class ComputationFailed(Exception):
 class RunConfig:
     """Validated run configuration."""
 
-    def __init__(self, raw, out_dir=".", quadrature=None, threads=None):
+    def __init__(self, raw, out_dir=".", quadrature=None):
         if not isinstance(raw, dict):
             raise ConfigInvalid("config document must be a JSON object")
         command = raw.get("command")
@@ -70,18 +70,14 @@ class RunConfig:
         self.command = command
         self.raw = raw
         self.out_dir = out_dir
-        self.q = int(quadrature if quadrature is not None else raw.get("q", 16))
+        self.q = _integer(quadrature if quadrature is not None else raw.get("q", 16),
+                          "quadrature order q")
         if self.q < 2:
             raise ConfigInvalid("quadrature order must be >= 2")
-        self.threads = threads
-        self.seed = raw.get("seed", 0)
 
     def echo(self):
         doc = dict(self.raw)
         doc["q"] = self.q
-        doc["seed"] = self.seed
-        if self.threads is not None:
-            doc["threads"] = self.threads
         return doc
 
     def spec(self):
@@ -109,7 +105,7 @@ class RunConfig:
         indices = self.raw.get("indices", list(default))
         if not indices:
             raise ConfigInvalid("indices list must not be empty")
-        return [int(i) for i in indices]
+        return [_integer(i, "index") for i in indices]
 
     def surface(self):
         alpha = self.raw.get("alpha")
@@ -128,22 +124,17 @@ class RunConfig:
         return cone_mod.capped_cone(alpha)
 
 
-def _set_threads(threads):
-    if threads is None:
-        threads = os.environ.get("AFMASS_THREADS")
-    if threads is None:
-        return None
-    threads = int(threads)
-    if threads < 1:
-        raise ConfigInvalid("thread count must be >= 1")
-    try:
-        import threadpoolctl
+def _integer(value, what):
+    """An integer config value; a fractional number or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-    return threads
+
+def _reject_constant(name):
+    raise ConfigInvalid(f"config holds the non-finite number {name}")
 
 
 def _cmd_adm_mass(cfg):
@@ -186,7 +177,7 @@ def _cmd_weighted_mass(cfg):
     out_json = {}
     out_csv = {}
     if "indices" in cfg.raw:
-        n = int(cfg.raw.get("n", 3))
+        n = _integer(cfg.raw.get("n", 3), "n")
         rows = []
         for i in cfg.indices():
             spec_i = shell_metric(n, i)
@@ -216,12 +207,12 @@ def _cmd_sequence(cfg):
         raise ConfigInvalid(
             f"sequence kind must be one of {seq_mod.EXPERIMENT_KINDS}"
         )
-    n = int(cfg.raw.get("n", 3))
+    n = _integer(cfg.raw.get("n", 3), "n")
     kw = {}
     if "window_L" in cfg.raw:
         kw["half_width"] = float(cfg.raw["window_L"])
     if "resolution" in cfg.raw:
-        kw["grid_q"] = int(cfg.raw["resolution"])
+        kw["grid_q"] = _integer(cfg.raw["resolution"], "resolution")
     rep = seq_mod.run_semicontinuity_experiment(
         kind, n=n, indices=cfg.indices(default=(2, 4, 8, 16)), q=cfg.q, **kw
     )
@@ -271,10 +262,15 @@ def run(cfg):
 
     Returns the list of written paths.  Raises ComputationFailed (after
     writing an error report) if the computation errors out."""
-    np.random.seed(cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    written = []
     try:
         outputs = _DISPATCH[cfg.command](cfg)
+        # write_json_report raises ValueError on a NaN in the payload
+        for name, payload in outputs["json"].items():
+            path = os.path.join(cfg.out_dir, name)
+            write_json_report(path, payload, config=cfg.echo())
+            written.append(path)
     except ConfigInvalid:
         raise
     except (GeometryError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
@@ -282,11 +278,6 @@ def run(cfg):
         path = os.path.join(cfg.out_dir, "error.json")
         write_json_report(path, error_doc, config=cfg.echo())
         raise ComputationFailed(f"{type(exc).__name__}: {exc}") from exc
-    written = []
-    for name, payload in outputs["json"].items():
-        path = os.path.join(cfg.out_dir, name)
-        write_json_report(path, payload, config=cfg.echo())
-        written.append(path)
     for name, (columns, rows) in outputs["csv"].items():
         path = os.path.join(cfg.out_dir, name)
         write_csv(path, columns, rows)
@@ -303,22 +294,18 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--quadrature", type=int, default=None,
                         help="override angular quadrature order")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="thread cap (fallback: AFMASS_THREADS)")
     parser.add_argument("--version", action="version", version=package_version())
     args = parser.parse_args(argv)
 
     try:
-        threads = _set_threads(args.threads)
         try:
             with open(args.config) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigInvalid(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"malformed config JSON: {exc}") from exc
-        cfg = RunConfig(raw, out_dir=args.out, quadrature=args.quadrature,
-                        threads=threads)
+        cfg = RunConfig(raw, out_dir=args.out, quadrature=args.quadrature)
         written = run(cfg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

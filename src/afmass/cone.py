@@ -39,7 +39,6 @@ __all__ = [
     "total_gauss_curvature",
     "cone_mass",
     "cone_semicontinuity_experiment",
-    "cone_sequence_experiment",
     "CONE_EXPERIMENT_KINDS",
     "Cone2DFamily",
     "cone_metric_spec",
@@ -391,12 +390,4 @@ def cone_semicontinuity_experiment(kind="blow_up", alpha=0.7,
         expected_exponent=expected, verdict=liminf >= limit_mass - 1e-9,
         drop=liminf - limit_mass,
         details={"alpha": alpha, "window": list(window)},
-    )
-
-
-# older name kept as an alias for the default experiment
-def cone_sequence_experiment(alpha=0.7, indices=(4, 8, 16, 32),
-                             window=(0.5, 1.0), samples=64):
-    return cone_semicontinuity_experiment(
-        "blow_up", alpha=alpha, indices=indices, window=window, samples=samples
     )

@@ -12,7 +12,6 @@ __all__ = [
     "ricci_tensor",
     "scalar_curvature",
     "fd_metric_derivatives",
-    "curvature_of_metric_fn",
 ]
 
 
@@ -71,18 +70,12 @@ def scalar_curvature(g, dg, d2g):
     return np.einsum("njk,njk->n", np.linalg.inv(g), ric)
 
 
-# 4th-order central stencil for first derivatives
-_D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_D1_COEFFS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-
-
-def fd_metric_derivatives(fn, x, h, order=2):
+def fd_metric_derivatives(fn, x, h):
     """Finite-difference first and second derivatives of a matrix field.
 
     fn maps (N, d) -> (N, d, d).  Returns (dg, d2g) with the layout described
-    in the module docstring.  order 2 uses 3-point stencils; order 4 uses
-    5-point stencils (first derivatives) and their composition (mixed second
-    derivatives).
+    in the module docstring, from 3-point central stencils (second order in
+    h) and their composition for the mixed second derivatives.
     """
     x = np.asarray(x, dtype=float)
     N, d = x.shape
@@ -97,59 +90,19 @@ def fd_metric_derivatives(fn, x, h, order=2):
             y[:, m] += b * h
         return fn(y)
 
-    if order == 2:
-        plus = [shift(k, 1.0) for k in range(d)]
-        minus = [shift(k, -1.0) for k in range(d)]
-        for k in range(d):
-            dg[:, k] = (plus[k] - minus[k]) / (2.0 * h)
-            d2g[:, k, k] = (plus[k] - 2.0 * f0 + minus[k]) / h ** 2
-        for k in range(d):
-            for m in range(k + 1, d):
-                mixed = (
-                    shift(k, 1.0, m, 1.0)
-                    - shift(k, 1.0, m, -1.0)
-                    - shift(k, -1.0, m, 1.0)
-                    + shift(k, -1.0, m, -1.0)
-                ) / (4.0 * h ** 2)
-                d2g[:, k, m] = mixed
-                d2g[:, m, k] = mixed
-    elif order == 4:
-        vals = {}
-        for k in range(d):
-            for a in (-2.0, -1.0, 1.0, 2.0):
-                vals[(k, a)] = shift(k, a)
-        for k in range(d):
-            dg[:, k] = sum(
-                c * vals[(k, a)] for a, c in zip(_D1_OFFSETS, _D1_COEFFS)
-            ) / h
-            d2g[:, k, k] = (
-                -vals[(k, 2.0)]
-                + 16.0 * vals[(k, 1.0)]
-                - 30.0 * f0
-                + 16.0 * vals[(k, -1.0)]
-                - vals[(k, -2.0)]
-            ) / (12.0 * h ** 2)
-        for k in range(d):
-            for m in range(k + 1, d):
-                mixed = 0.0
-                for a, ca in zip(_D1_OFFSETS, _D1_COEFFS):
-                    for b, cb in zip(_D1_OFFSETS, _D1_COEFFS):
-                        mixed = mixed + ca * cb * shift(k, a, m, b)
-                mixed = mixed / h ** 2
-                d2g[:, k, m] = mixed
-                d2g[:, m, k] = mixed
-    else:
-        raise ValueError("order must be 2 or 4")
+    plus = [shift(k, 1.0) for k in range(d)]
+    minus = [shift(k, -1.0) for k in range(d)]
+    for k in range(d):
+        dg[:, k] = (plus[k] - minus[k]) / (2.0 * h)
+        d2g[:, k, k] = (plus[k] - 2.0 * f0 + minus[k]) / h ** 2
+    for k in range(d):
+        for m in range(k + 1, d):
+            mixed = (
+                shift(k, 1.0, m, 1.0)
+                - shift(k, 1.0, m, -1.0)
+                - shift(k, -1.0, m, 1.0)
+                + shift(k, -1.0, m, -1.0)
+            ) / (4.0 * h ** 2)
+            d2g[:, k, m] = mixed
+            d2g[:, m, k] = mixed
     return dg, d2g
-
-
-def curvature_of_metric_fn(fn, x, h, order=4):
-    """Scalar curvature of a metric given only as a function of coordinates.
-
-    fn maps (N, d) -> (N, d, d); derivatives are taken by finite differences
-    with step h.  Returns (N,).
-    """
-    x = np.asarray(x, dtype=float)
-    g = fn(x)
-    dg, d2g = fd_metric_derivatives(fn, x, h, order=order)
-    return scalar_curvature(g, dg, d2g)

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "unit_sphere_area",
     "sphere_chart",
-    "sphere_chart_jacobian",
     "flat_angular_density",
     "SphereQuadrature",
 ]
@@ -48,36 +47,6 @@ def sphere_chart(phi):
         sin_running = sin_running * np.sin(phi[..., k])
     u[..., n - 1] = sin_running
     return u
-
-
-def sphere_chart_jacobian(phi):
-    """Derivative of the chart map: (..., n, n-1) with J[..., k, m] = du^k/dphi^m.
-
-    u^k depends on phi^1..phi^k only, through a product of sines and one
-    cosine; each partial derivative is again such a product.
-    """
-    phi = np.asarray(phi, dtype=float)
-    d = phi.shape[-1]
-    n = d + 1
-    s = np.sin(phi)
-    c = np.cos(phi)
-    J = np.zeros(phi.shape[:-1] + (n, d), dtype=float)
-    for k in range(n):
-        # u^k is a product of factors: sin(phi_j) for j < min(k, d), then
-        # cos(phi_k) if k < n-1.  Differentiating replaces one factor.
-        if k < n - 1:
-            factors = [s[..., j] for j in range(k)] + [c[..., k]]
-            dfactors = [c[..., j] for j in range(k)] + [-s[..., k]]
-        else:
-            factors = [s[..., j] for j in range(d)]
-            dfactors = [c[..., j] for j in range(d)]
-        for m in range(len(factors)):
-            term = dfactors[m]
-            for j in range(len(factors)):
-                if j != m:
-                    term = term * factors[j]
-            J[..., k, m] = term
-    return J
 
 
 def flat_angular_density(phi):
@@ -136,20 +105,22 @@ class SphereQuadrature:
             w = w * m.ravel()
         return phi, w
 
-    def blocks(self):
-        """Yield (phi, w) blocks, splitting along the first angle if needed."""
-        if self.num_nodes <= self.max_block:
+    def blocks(self, max_nodes=None):
+        """Yield (phi, w) blocks of at most max_nodes nodes (default
+        max_block), splitting along the leading angles as needed."""
+        if max_nodes is None:
+            max_nodes = self.max_block
+        if self.num_nodes <= max_nodes:
             yield self.full_grid()
             return
         # split along the leading angle
         sub = SphereQuadrature.__new__(SphereQuadrature)
         sub.n = self.n - 1
         sub.q = self.q
-        sub.max_block = self.max_block
         sub.nodes_1d = self.nodes_1d[1:]
         sub.weights_1d = self.weights_1d[1:]
         for x0, w0 in zip(self.nodes_1d[0], self.weights_1d[0]):
-            for phi_s, w_s in sub.blocks():
+            for phi_s, w_s in sub.blocks(max_nodes):
                 phi = np.concatenate(
                     [np.full((phi_s.shape[0], 1), x0), phi_s], axis=1
                 )

@@ -46,7 +46,6 @@ __all__ = [
     "metric_at",
     "metric_derivatives_at",
     "curvature_at",
-    "conformal_scalar_curvature",
     "metric_to_json",
     "metric_from_json",
 ]
@@ -718,10 +717,10 @@ def metric_derivatives_at(spec, x, order=2):
     else:
         h1, h2 = _fd_steps(spec, pts)
         _check_stencil(spec, pts, 2.0 * max(h1, h2))
-        dg, _ = fd_metric_derivatives(spec.family.metric, pts, h1, order=2)
+        dg, _ = fd_metric_derivatives(spec.family.metric, pts, h1)
         d2g = None
         if order == 2:
-            _, d2g = fd_metric_derivatives(spec.family.metric, pts, h2, order=2)
+            _, d2g = fd_metric_derivatives(spec.family.metric, pts, h2)
     if single:
         dg = dg[0]
         d2g = d2g[0] if d2g is not None else None
@@ -758,20 +757,6 @@ def scalar_curvature_at(spec, x):
     dg, d2g = metric_derivatives_at(spec, pts, order=2)
     R = scalar_curvature(g, dg, d2g)
     return float(R[0]) if single else R
-
-
-def conformal_scalar_curvature(base_scalar, psi, lap_psi, grad_psi_sq, ambient_dim):
-    """Scalar curvature after the conformal change g2 = e^{2 psi} g1 on a
-    manifold of dimension ambient_dim - 1:
-
-        R2 = e^{-2 psi} (R1 - 2(n-2) Lap psi - (n-3)(n-2) |d psi|^2),
-
-    with Laplacian and gradient norm taken in g1.
-    """
-    n = ambient_dim
-    return np.exp(-2.0 * psi) * (
-        base_scalar - 2.0 * (n - 2) * lap_psi - (n - 3) * (n - 2) * grad_psi_sq
-    )
 
 
 # ---------------------------------------------------------------------------

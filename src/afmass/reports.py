@@ -9,6 +9,7 @@ timestamp field.  CSV output uses '.' decimal points regardless of locale.
 import csv
 import datetime
 import json
+import math
 
 from .mass import MassEstimate
 from .sequences import ExperimentReport
@@ -43,17 +44,32 @@ def package_version():
         return "0.0.0"
 
 
+def _infinities_as_strings(obj):
+    if isinstance(obj, float) and math.isinf(obj):
+        return "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, dict):
+        return {k: _infinities_as_strings(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_infinities_as_strings(v) for v in obj]
+    return obj
+
+
 def write_json_report(path, payload, config=None):
-    """Write a JSON report wrapped with version/config/timestamp metadata."""
-    doc = {
+    """Write a JSON report wrapped with version/config/timestamp metadata.
+
+    The file is strict JSON: +-inf is written as the string "Infinity" or
+    "-Infinity" (float() reads both back), and a NaN raises ValueError
+    before anything is written.
+    """
+    doc = _infinities_as_strings({
         "version": package_version(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config,
         "result": payload,
-    }
+    })
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return doc
 
 

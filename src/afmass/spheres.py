@@ -1,15 +1,20 @@
 """Geometry of coordinate spheres S_r = {|x| = r}.
 
-Two evaluation routes coexist on purpose:
+Every generic quantity is computed pointwise at x = r u from the metric g
+and its coordinate derivatives dg, d2g at x alone; nothing is differenced
+along the sphere, and the chart poles are ordinary points.  With N = d|x| (components x_j / r),
+lambda = |N|_g and nu = g^{-1} N / lambda the outward unit normal:
 
-* a generic route valid for every metric family: the induced metric is the
-  chart pullback, the mean curvature is the covariant divergence of the
-  outward unit normal of {|x| = r}, and the intrinsic scalar curvature is
-  computed by finite differences of the pulled-back metric in the angles;
+* area: the coarea formula gives dA_g = sqrt(det g) lambda dA_flat;
+* mean curvature: the second fundamental form of the level set is
+  A = Hess_g(|x|) / lambda restricted to the tangent space, and H = tr A;
+* intrinsic scalar curvature: the Gauss equation
+  rho = R - 2 Ric(nu, nu) + H^2 - |A|^2.
 
-* closed conformal formulas for metrics U^{4/(n-2)} delta with U radial
-  (constant on each sphere), used as the default for those families and as
-  the independent oracle for the generic route in the test suite.
+Closed conformal formulas for metrics U^{4/(n-2)} delta with U radial
+(constant on each sphere) are the default for those families under
+method='auto' and serve as the independent oracle for the generic route in
+the test suite.
 """
 
 import math
@@ -17,26 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_of_metric_fn
+from .curvature import christoffel, ricci_tensor
 from .geometry import (
     SphereQuadrature,
     flat_angular_density,
     sphere_chart,
-    sphere_chart_jacobian,
     unit_sphere_area,
 )
 from .metrics import (
-    EPS,
     GeometryError,
     metric_at,
     metric_derivatives_at,
 )
 
 __all__ = [
-    "PoleEvaluation",
     "DegenerateNormal",
     "SphereReport",
-    "induced_metric_at",
     "sphere_area",
     "mean_curvature_at",
     "intrinsic_scalar_curvature_at",
@@ -46,11 +47,9 @@ __all__ = [
     "conformal_sphere_area",
 ]
 
-POLE_GUARD = 1e-9
-
-
-class PoleEvaluation(GeometryError):
-    """Angle too close to a coordinate pole of the spherical chart."""
+# entries of d2g (n^4 per node) held by one block of the generic
+# sphere_report: bounds its memory at every n
+REPORT_BLOCK_ENTRIES = 2 ** 22
 
 
 class DegenerateNormal(GeometryError):
@@ -88,11 +87,6 @@ def _as_angles(phi, n):
     return phi, False
 
 
-def _check_poles(phi):
-    if phi.shape[1] >= 2 and np.any(np.abs(np.sin(phi[:, :-1])) < POLE_GUARD):
-        raise PoleEvaluation("angle within guard distance of a chart pole")
-
-
 # ---------------------------------------------------------------------------
 # closed conformal formulas (radial U, constant on each sphere)
 
@@ -115,42 +109,81 @@ def conformal_sphere_scalar_curvature(n, r, u_value):
     return u_value ** (-4.0 / (n - 2)) * (n - 1) * (n - 2) / r ** 2
 
 
+def _closed_form(spec, r, method):
+    """(U(r), U'(r)) when the closed conformal formulas apply, else None."""
+    profile = spec.family.radial_profile
+    if method != "auto" or profile is None or spec.n < 3:
+        return None
+    rr = np.array([r])
+    return float(profile.u(rr)[0]), float(profile.du(rr)[0])
+
+
 # ---------------------------------------------------------------------------
 # generic route
 
 
-def induced_metric_at(spec, r, phi):
-    """Pullback gamma_ab = g(d_a, d_b) on S_r in the spherical chart."""
-    n = spec.n
-    phi, single = _as_angles(phi, n)
-    _check_poles(phi)
-    u = sphere_chart(phi)
-    J = r * sphere_chart_jacobian(phi)
-    g = metric_at(spec, r * u)
-    gamma = np.einsum("pka,pkl,plb->pab", J, g, J)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
-    return gamma[0] if single else gamma
+def _geometry_at(spec, r, phi, order):
+    """Pointwise geometry of S_r at the angles phi: (density, H, rho).
+
+    density = sqrt(det g) |d|x||_g is the ratio of the g-area element of S_r
+    to the flat one.  The metric is differentiated up to `order`: H needs
+    order >= 1 and rho order 2; each is None below that.
+    """
+    u = sphere_chart(phi)  # the covector d|x| at x = r u
+    x = r * u
+    N, n = x.shape
+    g = metric_at(spec, x)
+    ginv = np.linalg.inv(g)
+    normal = np.einsum("nij,nj->ni", ginv, u)
+    lam2 = np.einsum("ni,ni->n", normal, u)
+    if np.any(lam2 <= 0.0):
+        raise DegenerateNormal("gradient of |x| is g-null")
+    lam = np.sqrt(lam2)
+    density = np.sqrt(np.linalg.det(g)) * lam
+    if order == 0:
+        return density, None, None
+    if order == 1:
+        dg = metric_derivatives_at(spec, x, order=1)
+    else:
+        dg, d2g = metric_derivatives_at(spec, x, order=2)
+    nu = normal / lam[:, None]
+    # inverse induced metric, as a tensor on the ambient space
+    tangent = ginv - np.einsum("ni,nj->nij", nu, nu)
+    # Hess_g |x| = d d|x| - Gamma^k d_k|x|
+    hess = (
+        (np.eye(n)[None] - np.einsum("ni,nj->nij", u, u)) / r
+        - np.einsum("nkij,nk->nij", christoffel(ginv, dg), u)
+    )
+    A = hess / lam[:, None, None]
+    H = np.einsum("nij,nij->n", tangent, A)
+    if order == 1:
+        return density, H, None
+    if n == 2:
+        # a curve carries no intrinsic curvature
+        return density, H, np.zeros(N)
+    shape = np.einsum("nij,njk->nik", tangent, A)  # A with one index raised
+    A2 = np.einsum("nij,nji->n", shape, shape)
+    ric = ricci_tensor(g, dg, d2g)
+    R = np.einsum("nij,nij->n", ginv, ric)
+    rho = R - 2.0 * np.einsum("nij,ni,nj->n", ric, nu, nu) + H * H - A2
+    return density, H, rho
 
 
 def sphere_area(spec, r, q=32, method="auto"):
-    """Area of S_r by angular quadrature of sqrt(det gamma)."""
+    """Area of S_r by angular quadrature of the coarea density."""
     n = spec.n
-    profile = spec.family.radial_profile
-    if method == "auto" and profile is not None:
-        return conformal_sphere_area(n, r, float(profile.u(np.array([r]))[0]))
+    closed = _closed_form(spec, r, method)
+    if closed is not None:
+        return conformal_sphere_area(n, r, closed[0])
     quad = SphereQuadrature(n, q)
     if method == "auto" and spec.family.rotationally_symmetric:
-        # integrand / flat density is constant on the sphere
-        phi = quad.generic_node()[None, :]
-        gamma = induced_metric_at(spec, r, phi)
-        ratio = math.sqrt(np.linalg.det(gamma[0])) / (
-            r ** (n - 1) * float(flat_angular_density(phi)[0])
-        )
-        return ratio * unit_sphere_area(n) * r ** (n - 1)
+        # density over the flat one is constant on the sphere
+        density = _geometry_at(spec, r, quad.generic_node()[None, :], 0)[0]
+        return float(density[0]) * unit_sphere_area(n) * r ** (n - 1)
 
     def integrand(phi):
-        gamma = induced_metric_at(spec, r, phi)
-        return np.sqrt(np.linalg.det(gamma))
+        density = _geometry_at(spec, r, phi, 0)[0]
+        return density * r ** (n - 1) * flat_angular_density(phi)
 
     return quad.integrate(integrand)
 
@@ -158,114 +191,64 @@ def sphere_area(spec, r, q=32, method="auto"):
 def mean_curvature_at(spec, r, phi, method="auto"):
     """Mean curvature of S_r, positive for round spheres in flat space.
 
-    Computed as the covariant divergence of the outward unit normal of the
-    level set {|x| = r}; the conformal closed form is used for radial
-    conformal families unless method='generic'.
+    Generic route: the trace of the second fundamental form of the level
+    set {|x| = r}; the conformal closed form is used for radial conformal
+    families unless method='generic'.
     """
     n = spec.n
     phi, single = _as_angles(phi, n)
-    _check_poles(phi)
-    profile = spec.family.radial_profile
-    if method == "auto" and profile is not None:
-        H = conformal_mean_curvature(
-            n, r, float(profile.u(np.array([r]))[0]), float(profile.du(np.array([r]))[0])
-        )
-        out = np.full(phi.shape[0], H)
-        return float(out[0]) if single else out
-    x = r * sphere_chart(phi)
-    g = metric_at(spec, x)
-    dg = metric_derivatives_at(spec, x, order=1)
-    H = _divergence_of_unit_normal(x, g, dg)
+    closed = _closed_form(spec, r, method)
+    if closed is not None:
+        H = np.full(phi.shape[0], conformal_mean_curvature(n, r, *closed))
+    else:
+        H = _geometry_at(spec, r, phi, 1)[1]
     return float(H[0]) if single else H
 
 
-def _divergence_of_unit_normal(x, g, dg):
-    """div_g(nu) for nu the g-unit normal of {|x| = const}, batched."""
-    N, n = x.shape
-    r = np.linalg.norm(x, axis=1)
-    Nc = x / r[:, None]  # covector d|x|, components x_j / r
-    dN = (np.eye(n)[None] / r[:, None, None]
-          - np.einsum("ni,nj->nij", x, x) / r[:, None, None] ** 3)  # d_i N_j
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("nja,nkab,nbl->nkjl", ginv, dg, ginv)  # d_k g^{jl}
-    lam2 = np.einsum("njk,nj,nk->n", ginv, Nc, Nc)
-    if np.any(lam2 <= 0.0):
-        raise DegenerateNormal("gradient of |x| is g-null")
-    lam = np.sqrt(lam2)
-    # d_i lambda
-    dlam = (
-        np.einsum("nijk,nj,nk->ni", dginv, Nc, Nc)
-        + 2.0 * np.einsum("njk,nij,nk->ni", ginv, dN, Nc)
-    ) / (2.0 * lam[:, None])
-    # nu^i = g^{ij} N_j / lambda
-    nu_up = np.einsum("nij,nj->ni", ginv, Nc) / lam[:, None]
-    # partial divergence d_i nu^i
-    div = (
-        np.einsum("niij,nj->n", dginv, Nc) / lam
-        + np.einsum("nij,nij->n", ginv, dN) / lam
-        - np.einsum("nij,nj,ni->n", ginv, Nc, dlam) / lam2
-    )
-    # + Gamma^i_{ik} nu^k = d_k log sqrt(det g) nu^k
-    dlogdet = 0.5 * np.einsum("nij,nkij->nk", ginv, dg)
-    return div + np.einsum("nk,nk->n", dlogdet, nu_up)
+def intrinsic_scalar_curvature_at(spec, r, phi, method="auto"):
+    """Scalar curvature of (S_r, gamma) at the given angles.
 
-
-def intrinsic_scalar_curvature_at(spec, r, phi, method="auto", fd_step=None):
-    """Scalar curvature of (S_r, gamma) at the given angles."""
+    Generic route: the Gauss equation at each point; the conformal closed
+    form is used for radial conformal families unless method='generic'.
+    """
     n = spec.n
     phi, single = _as_angles(phi, n)
-    _check_poles(phi)
-    if n == 2:
-        out = np.zeros(phi.shape[0])
-        return float(out[0]) if single else out
-    profile = spec.family.radial_profile
-    if method == "auto" and profile is not None:
-        rho = conformal_sphere_scalar_curvature(
-            n, r, float(profile.u(np.array([r]))[0])
-        )
-        out = np.full(phi.shape[0], rho)
-        return float(out[0]) if single else out
-    if fd_step is None:
-        # 4th-order stencils: balance truncation h^4 against roundoff eps/h^2
-        fd_step = EPS ** (1.0 / 6.0)
-
-    def gamma_fn(angles):
-        return induced_metric_at(spec, r, angles) / r ** 2
-
-    # curvature of gamma / r^2, rescaled back: keeps the FD step r-independent
-    R = curvature_of_metric_fn(gamma_fn, phi, fd_step, order=4) / r ** 2
-    return float(R[0]) if single else R
+    closed = _closed_form(spec, r, method)
+    if closed is not None:
+        rho = np.full(phi.shape[0], conformal_sphere_scalar_curvature(n, r, closed[0]))
+    else:
+        rho = _geometry_at(spec, r, phi, 2)[2]
+    return float(rho[0]) if single else rho
 
 
 def sphere_report(spec, r, q=32, method="auto"):
     """Area plus node extrema of H and the induced scalar curvature."""
     n = spec.n
-    quad = SphereQuadrature(n, q)
-    symmetric = method == "auto" and (
-        spec.family.rotationally_symmetric or spec.family.radial_profile is not None
-    )
-    if symmetric:
-        phi = quad.generic_node()
-        H = float(np.atleast_1d(mean_curvature_at(spec, r, phi, method=method))[0])
-        rho = float(
-            np.atleast_1d(intrinsic_scalar_curvature_at(spec, r, phi, method=method))[0]
-        )
-        area = sphere_area(spec, r, q, method=method)
+    closed = _closed_form(spec, r, method)
+    if closed is not None:
+        area = conformal_sphere_area(n, r, closed[0])
+        H = conformal_mean_curvature(n, r, *closed)
+        rho = conformal_sphere_scalar_curvature(n, r, closed[0])
         return SphereReport(
             r=float(r), area=area, H_min=H, H_max=H, maxH2=H * H,
             rho_min=rho, rho_max=rho, q=q,
         )
+    quad = SphereQuadrature(n, q)
+    if method == "auto" and spec.family.rotationally_symmetric:
+        # one node stands for the sphere; its weight makes the area exact
+        phi = quad.generic_node()[None, :]
+        blocks = [(phi, unit_sphere_area(n) / flat_angular_density(phi))]
+    else:
+        blocks = quad.blocks(max(1, REPORT_BLOCK_ENTRIES // n ** 4))
     area = 0.0
     H_min = math.inf
     H_max = -math.inf
     maxH2 = 0.0
     rho_min = math.inf
     rho_max = -math.inf
-    for phi, w in quad.blocks():
-        gamma = induced_metric_at(spec, r, phi)
-        area += float(np.dot(w, np.sqrt(np.linalg.det(gamma))))
-        H = mean_curvature_at(spec, r, phi, method="generic")
-        rho = intrinsic_scalar_curvature_at(spec, r, phi, method="generic")
+    for phi, w in blocks:
+        density, H, rho = _geometry_at(spec, r, phi, 2)
+        area += float(np.dot(w, density * flat_angular_density(phi))) * r ** (n - 1)
         H_min = min(H_min, float(H.min()))
         H_max = max(H_max, float(H.max()))
         maxH2 = max(maxH2, float((H * H).max()))

@@ -1,10 +1,20 @@
 import json
+import math
 import os
 
 import pytest
 
 from afmass.cli import ConfigInvalid, RunConfig, main, run
 from afmass.reports import read_csv, read_json, strip_volatile
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def load_strict(path):
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -70,6 +80,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             RunConfig({"command": "adm-mass", "radii": [100, 50]}).radii()
 
+    @pytest.mark.parametrize("q", ["abc", 2.5])
+    def test_non_integer_q_exit_2(self, tmp_path, capsys, q):
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass", "spec": SCHWARZSCHILD_N3,
+            "radii": [50, 100], "q": q,
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_nan_parameter_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"command": "adm-mass", "radii": [50, 100], "q": 8, "spec": '
+            '{"n": 3, "family": "Schwarzschild", "params": {"m": NaN}}}'
+        )
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) != 0
+
     def test_invalid_spec_rejected(self):
         cfg = RunConfig({"command": "adm-mass", "spec": {"n": 3, "family": "Nope"}})
         with pytest.raises(ConfigInvalid):
@@ -90,6 +117,18 @@ class TestComputationFailure:
         assert main(["--config", cfg, "--out", str(out)]) == 1
         err = read_json(out / "error.json")
         assert "error" in err["result"] and "message" in err["result"]
+
+    def test_nan_result_exit_1(self, tmp_path):
+        # m = 1e400 parses as inf; the flux of that metric is NaN
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"command": "adm-mass", "radii": [50, 100], "q": 8, "spec": '
+            '{"n": 3, "family": "Schwarzschild", "params": {"m": 1e400}}}'
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["error.json"]
+        assert load_strict(out / "error.json")["result"]["error"] == "ValueError"
 
 
 class TestConeCommands:
@@ -117,6 +156,17 @@ class TestConeCommands:
         header, rows = read_csv(out / "experiment.csv")
         assert header == ["index", "mass", "distance"]
         assert len(rows) == 4
+
+
+class TestConstantExperiments:
+    @pytest.mark.parametrize("command", ["sequence", "cone-sequence"])
+    def test_report_is_strict_json(self, tmp_path, command):
+        cfg = write_config(tmp_path, {"command": command, "kind": "constant"})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        result = load_strict(out / "experiment.json")["result"]
+        assert result["exponent"] == "Infinity"
+        assert float(result["exponent"]) == math.inf
 
 
 class TestSequenceCommand:
@@ -189,14 +239,3 @@ class TestDeterminism:
         a = strip_volatile(read_json(out1 / "adm_mass.json"))
         b = strip_volatile(read_json(out2 / "adm_mass.json"))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_env_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("AFMASS_THREADS", "1")
-    cfg = write_config(tmp_path, {
-        "command": "adm-mass", "spec": SCHWARZSCHILD_N3, "radii": [50, 100],
-        "q": 8,
-    })
-    out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out)]) == 0
-    assert read_json(out / "adm_mass.json")["config"]["threads"] == 1

@@ -3,11 +3,11 @@ import pytest
 
 from afmass.curvature import (
     christoffel,
-    curvature_of_metric_fn,
     fd_metric_derivatives,
     ricci_tensor,
     scalar_curvature,
 )
+from fd_reference import curvature_of_metric_fn, fd4_metric_derivatives
 
 
 def round_sphere_metric(R, d):
@@ -46,7 +46,7 @@ def test_round_sphere_scalar_curvature(d, R):
     fn = round_sphere_metric(R, d)
     phi = np.full((3, d), 0.0)
     phi[:, :] = np.linspace(0.8, 1.8, 3)[:, None]
-    scal = curvature_of_metric_fn(fn, phi, 2.2e-3, order=4)
+    scal = curvature_of_metric_fn(fn, phi, 2.2e-3)
     assert scal == pytest.approx(d * (d - 1) / R ** 2, rel=1e-8)
 
 
@@ -65,19 +65,13 @@ def test_fd_derivatives_match_polynomial():
         return g
 
     x = np.array([[0.4, -0.7]])
-    for order in (2, 4):
-        dg, d2g = fd_metric_derivatives(fn, x, 1e-3, order=order)
+    for stencil in (fd_metric_derivatives, fd4_metric_derivatives):
+        dg, d2g = stencil(fn, x, 1e-3)
         # d_0 g_00 = 0.1 * 2 (A x)_0
         expect = 0.2 * (A @ x[0])[0]
         assert dg[0, 0, 0, 0] == pytest.approx(expect, abs=1e-8)
         assert d2g[0, 0, 0, 0, 0] == pytest.approx(0.2 * A[0, 0], abs=1e-6)
         assert d2g[0, 0, 1, 0, 1] == pytest.approx(0.05, abs=1e-6)
-
-
-def test_fd_rejects_bad_order():
-    fn = lambda x: np.tile(np.eye(2), (np.atleast_2d(x).shape[0], 1, 1))
-    with pytest.raises(ValueError):
-        fd_metric_derivatives(fn, np.zeros((1, 2)), 1e-3, order=3)
 
 
 def test_order4_beats_order2_on_smooth_metric():
@@ -92,8 +86,8 @@ def test_order4_beats_order2_on_smooth_metric():
     x = np.array([[0.5, 0.3]])
     h = 0.05
     exact_d2 = -0.3 * np.sin(0.5) * np.cos(0.3)
-    _, d2_2 = fd_metric_derivatives(fn, x, h, order=2)
-    _, d2_4 = fd_metric_derivatives(fn, x, h, order=4)
+    _, d2_2 = fd_metric_derivatives(fn, x, h)
+    _, d2_4 = fd4_metric_derivatives(fn, x, h)
     err2 = abs(d2_2[0, 0, 0, 0, 0] - exact_d2)
     err4 = abs(d2_4[0, 0, 0, 0, 0] - exact_d2)
     assert err4 < err2 / 10

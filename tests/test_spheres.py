@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from afmass.geometry import unit_sphere_area
+from afmass.geometry import SphereQuadrature, sphere_chart, unit_sphere_area
 from afmass.metrics import (
     asymptotically_schwarzschild,
     euclidean,
     harmonic_dipole_field,
     conformally_flat,
+    metric_at,
     schwarzschild,
 )
 from afmass.spheres import (
-    PoleEvaluation,
     conformal_mean_curvature,
     conformal_sphere_area,
     conformal_sphere_scalar_curvature,
-    induced_metric_at,
     intrinsic_scalar_curvature_at,
     mean_curvature_at,
     sphere_area,
@@ -54,6 +53,15 @@ class TestEuclideanSpheres:
         )
 
 
+    def test_circle(self):
+        # n = 2 has no conformal closed forms: the pointwise route runs
+        rep = sphere_report(euclidean(2), 2.0, q=8)
+        assert rep.area == pytest.approx(4.0 * math.pi, rel=1e-14)
+        assert rep.H_min == pytest.approx(0.5, rel=1e-14)
+        assert rep.H_max == pytest.approx(0.5, rel=1e-14)
+        assert rep.rho_min == rep.rho_max == 0.0
+
+
 class TestSchwarzschildOracles:
     def test_closed_form_values_n3(self):
         spec = schwarzschild(3, 1.0)
@@ -88,25 +96,61 @@ class TestSchwarzschildOracles:
         assert ag == pytest.approx(ORACLE_N3["area"], rel=1e-10)
 
 
-class TestInducedMetric:
-    def test_euclidean_round_metric(self):
-        spec = euclidean(3)
-        phi = np.array([1.1, 0.4])
-        gamma = induced_metric_at(spec, 2.0, phi)
-        assert gamma[0, 0] == pytest.approx(4.0, rel=1e-12)
-        assert gamma[1, 1] == pytest.approx(4.0 * math.sin(1.1) ** 2, rel=1e-12)
-        assert gamma[0, 1] == pytest.approx(0.0, abs=1e-12)
+class TestPoles:
+    # the chart poles are ordinary points of the sphere
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_generic_route_at_poles(self, n):
+        phi = np.array([[0.0] + [0.7] * (n - 2), [math.pi] + [0.4] * (n - 2)])
+        r = 6.0
+        flat = euclidean(n)
+        H = mean_curvature_at(flat, r, phi, method="generic")
+        rho = intrinsic_scalar_curvature_at(flat, r, phi, method="generic")
+        assert np.allclose(H, (n - 1) / r, rtol=1e-12, atol=0.0)
+        assert np.allclose(rho, (n - 1) * (n - 2) / r ** 2, rtol=1e-12, atol=0.0)
+        spec = schwarzschild(n, 1.5)
+        H = mean_curvature_at(spec, r, phi, method="generic")
+        rho = intrinsic_scalar_curvature_at(spec, r, phi, method="generic")
+        assert np.allclose(H, mean_curvature_at(spec, r, phi), rtol=1e-12, atol=0.0)
+        assert np.allclose(
+            rho, intrinsic_scalar_curvature_at(spec, r, phi), rtol=1e-12, atol=0.0
+        )
 
-    def test_pole_guard(self):
-        spec = euclidean(3)
-        with pytest.raises(PoleEvaluation):
-            induced_metric_at(spec, 2.0, np.array([0.0, 1.0]))
 
-    def test_symmetric(self):
-        spec = schwarzschild(4, 1.0)
-        phi = np.array([[0.8, 1.2, 0.5]])
-        gamma = induced_metric_at(spec, 6.0, phi)
-        assert np.allclose(gamma, np.swapaxes(gamma, -1, -2))
+def _pullback_area_density(spec, r, phi):
+    """sqrt(det gamma) for gamma the chart pullback of g to S_r, n = 3."""
+    a, b = phi[:, 0], phi[:, 1]
+    J = np.stack([
+        np.stack([-np.sin(a), np.cos(a) * np.cos(b), np.cos(a) * np.sin(b)], axis=1),
+        np.stack([np.zeros_like(a), -np.sin(a) * np.sin(b), np.sin(a) * np.cos(b)],
+                 axis=1),
+    ], axis=2) * r
+    g = metric_at(spec, r * sphere_chart(phi))
+    return np.sqrt(np.linalg.det(np.einsum("nka,nkl,nlb->nab", J, g, J)))
+
+
+NON_SYMMETRIC_N3 = {
+    "AS": asymptotically_schwarzschild(3, 1.0, c=0.3),
+    "dipole": conformally_flat(3, harmonic_dipole_field(3, 0.5, 0.3)),
+}
+
+
+class TestChartFreeOracles:
+    @pytest.mark.parametrize("name", sorted(NON_SYMMETRIC_N3))
+    @pytest.mark.parametrize("r", [3.0, 10.0, 40.0])
+    def test_gauss_bonnet(self, name, r):
+        # int_{S_r} rho dA = 4 pi chi(S^2) = 8 pi for every metric at n = 3
+        spec = NON_SYMMETRIC_N3[name]
+        phi, w = SphereQuadrature(3, 16).full_grid()
+        rho = intrinsic_scalar_curvature_at(spec, r, phi, method="generic")
+        total = float(np.dot(w, rho * _pullback_area_density(spec, r, phi)))
+        assert total == pytest.approx(8.0 * math.pi, rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(NON_SYMMETRIC_N3))
+    def test_area_matches_chart_pullback(self, name):
+        spec = NON_SYMMETRIC_N3[name]
+        phi, w = SphereQuadrature(3, 16).full_grid()
+        pullback = float(np.dot(w, _pullback_area_density(spec, 10.0, phi)))
+        assert sphere_area(spec, 10.0, q=16) == pytest.approx(pullback, rel=1e-13)
 
 
 class TestSphereReport:
