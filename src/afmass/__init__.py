@@ -30,6 +30,7 @@ from .mass import (
     MassEstimate,
     adm_flux,
     adm_mass,
+    extrapolate,
     fg,
     fg_detail,
     fg_limit,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cone as cone_mod
 from . import sequences as seq_mod
-from .mass import adm_mass, fg_detail, fg_limit
+from .mass import adm_mass, extrapolate, fg_detail
 from .metrics import GeometryError, metric_from_json
 from .reports import package_version, write_csv, write_json_report
 from .weighted import mass_matter_defect, mass_via_divergence
@@ -83,8 +83,11 @@ class RunConfig:
     def spec(self):
         if "spec" not in self.raw:
             raise ConfigInvalid("config needs a 'spec' metric document")
+        doc = self.raw["spec"]
+        if isinstance(doc, dict):
+            _dimension(doc.get("n"))
         try:
-            return metric_from_json(self.raw["spec"])
+            return metric_from_json(doc)
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigInvalid(f"invalid metric spec: {exc}") from exc
 
@@ -105,7 +108,10 @@ class RunConfig:
         indices = self.raw.get("indices", list(default))
         if not indices:
             raise ConfigInvalid("indices list must not be empty")
-        return [_integer(i, "index") for i in indices]
+        indices = [_integer(i, "index") for i in indices]
+        if min(indices) < 1:
+            raise ConfigInvalid(f"indices must be >= 1, got {indices}")
+        return indices
 
     def surface(self):
         alpha = self.raw.get("alpha")
@@ -133,6 +139,14 @@ def _integer(value, what):
     return int(value)
 
 
+def _dimension(value):
+    """An ambient dimension n in 3..7, the range the mass functionals cover."""
+    n = _integer(value, "dimension n")
+    if not 3 <= n <= 7:
+        raise ConfigInvalid(f"dimension n must lie in 3..7, got {n}")
+    return n
+
+
 def _reject_constant(name):
     raise ConfigInvalid(f"config holds the non-finite number {name}")
 
@@ -158,7 +172,8 @@ def _cmd_fg_profile(cfg):
              detail["rho_min"], hypothesis]
         )
         values.append(detail["fg"])
-    est = fg_limit(spec, radii, q=cfg.q)
+    # the c0 + c1/r model of fg_limit, fitted to the values above
+    est = extrapolate(radii, values, 1.0)
     return {
         "json": {"fg_limit.json": est.to_json()},
         "csv": {
@@ -177,7 +192,7 @@ def _cmd_weighted_mass(cfg):
     out_json = {}
     out_csv = {}
     if "indices" in cfg.raw:
-        n = _integer(cfg.raw.get("n", 3), "n")
+        n = _dimension(cfg.raw.get("n", 3))
         rows = []
         for i in cfg.indices():
             spec_i = shell_metric(n, i)
@@ -207,7 +222,7 @@ def _cmd_sequence(cfg):
         raise ConfigInvalid(
             f"sequence kind must be one of {seq_mod.EXPERIMENT_KINDS}"
         )
-    n = _integer(cfg.raw.get("n", 3), "n")
+    n = _dimension(cfg.raw.get("n", 3))
     kw = {}
     if "window_L" in cfg.raw:
         kw["half_width"] = float(cfg.raw["window_L"])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import scalar_curvature
-from .mass import MassEstimate, fit_inverse_power
+from .mass import extrapolate
 from .metrics import Family, GeometryError, MetricSpec
 
 __all__ = [
@@ -171,19 +171,13 @@ def _gauss_curvature_generic(surface, r):
     return 0.5 * scalar_curvature(g, dg, d2g)
 
 
-def geodesic_curvature_integral(surface, r, q=256):
-    """Total turning int_{r=const} kappa_g ds; equals 2 pi f'(r).
+def geodesic_curvature_integral(surface, r):
+    """Total turning int_{r=const} kappa_g ds = 2 pi f'(r), in closed form.
 
-    Integrates kappa_g = -Gamma^r_{theta theta} / (g_tt sqrt(g^{rr})) * ds
-    by the trapezoid rule in theta (exact for theta-independent data); the
-    closed form is used only in tests."""
-    r = float(r)
-    f = float(surface.f(np.array([r]))[0])
-    df = float(surface.df(np.array([r]))[0])
-    # kappa_g = f'/f, ds = f dtheta
-    theta_weight = 2.0 * math.pi / q
-    vals = np.full(q, (df / f) * f)
-    return theta_weight * float(np.sum(vals))
+    kappa_g = f'/f and ds = f dtheta are constant on the circle, so no
+    quadrature is involved; cone_mass's consistency check therefore compares
+    this closed form with the Gauss-Bonnet quadrature of the curvature."""
+    return 2.0 * math.pi * float(surface.df(np.array([float(r)]))[0])
 
 
 def total_gauss_curvature(surface, r, radial_q=None):
@@ -238,13 +232,7 @@ def cone_mass(surface, radii=(4.0, 8.0, 16.0, 32.0), consistency_tol=1e-6):
             raise EstimatesDisagree(
                 f"turning-angle and curvature-integral estimates differ by {worst:.3e}"
             )
-    p = 2.0
-    c0, c1, rms = fit_inverse_power(radii, turning, p)
-    error = abs(turning[-1] - c0) + rms
-    return MassEstimate(
-        value=c0, error=error, radii=radii, raw=tuple(turning),
-        model={"c0": c0, "c1": c1, "p": p},
-    )
+    return extrapolate(radii, turning, 2.0)
 
 
 def cone_blow_up_profile(surface, i):

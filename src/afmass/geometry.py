@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "BLOCK_ENTRIES",
     "unit_sphere_area",
     "sphere_chart",
     "flat_angular_density",
@@ -64,16 +65,20 @@ def flat_angular_density(phi):
     return out
 
 
+# entries (floats) that one sampled block may make its integrand hold: a
+# block has at most BLOCK_ENTRIES // entries_per_node nodes, so the memory of
+# every sphere and annulus integral is bounded whatever n and q are
+BLOCK_ENTRIES = 2 ** 22
+
+
 class SphereQuadrature:
     """Tensor-product quadrature on the angle box for S^{n-1}.
 
     Polar angles use q-point Gauss-Legendre on [0, pi]; the periodic angle
-    uses the q-point trapezoid (uniform) rule on [0, 2pi).  Weights are the
-    plain angle-box weights; integrands must include the area density.
+    uses the q-point trapezoid (uniform) rule on [0, 2pi).  `full_grid`
+    gives the plain angle-box weights; `sample` gives points on spheres with
+    the flat area element folded into the weights.
     """
-
-    # full grids beyond this size are evaluated in chunks
-    max_block = 2 ** 21
 
     def __init__(self, n, q):
         if n < 2:
@@ -95,53 +100,57 @@ class SphereQuadrature:
     def num_nodes(self):
         return self.q ** (self.n - 1)
 
-    def full_grid(self):
-        """All nodes and weights: (N, n-1) angles and (N,) weights."""
-        mesh = np.meshgrid(*self.nodes_1d, indexing="ij")
-        phi = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*self.weights_1d, indexing="ij")
+    def _nodes(self, index):
+        """Angles (N, n-1) and angle-box weights (N,) of the flat node
+        indices `index` (row-major over the angles)."""
+        digits = np.unravel_index(index, (self.q,) * (self.n - 1))
+        phi = np.stack(
+            [nodes[d] for nodes, d in zip(self.nodes_1d, digits)], axis=-1
+        )
         w = np.ones(phi.shape[0])
-        for m in wmesh:
-            w = w * m.ravel()
+        for weights, d in zip(self.weights_1d, digits):
+            w = w * weights[d]
         return phi, w
 
-    def blocks(self, max_nodes=None):
-        """Yield (phi, w) blocks of at most max_nodes nodes (default
-        max_block), splitting along the leading angles as needed."""
-        if max_nodes is None:
-            max_nodes = self.max_block
-        if self.num_nodes <= max_nodes:
-            yield self.full_grid()
-            return
-        # split along the leading angle
-        sub = SphereQuadrature.__new__(SphereQuadrature)
-        sub.n = self.n - 1
-        sub.q = self.q
-        sub.nodes_1d = self.nodes_1d[1:]
-        sub.weights_1d = self.weights_1d[1:]
-        for x0, w0 in zip(self.nodes_1d[0], self.weights_1d[0]):
-            for phi_s, w_s in sub.blocks(max_nodes):
-                phi = np.concatenate(
-                    [np.full((phi_s.shape[0], 1), x0), phi_s], axis=1
-                )
-                yield phi, w0 * w_s
+    def full_grid(self):
+        """All nodes and weights: (N, n-1) angles and (N,) weights."""
+        return self._nodes(np.arange(self.num_nodes))
 
-    def integrate(self, fn):
-        """Integrate fn(phi) (vectorized over nodes) over the angle box."""
-        total = 0.0
-        for phi, w in self.blocks():
-            total += float(np.dot(w, fn(phi)))
-        return total
+    def sample(self, radii, symmetric, entries_per_node, radial_weights=None):
+        """Yield (x, w) blocks of points on the spheres |x| = r and weights.
 
-    def angle_box_volume(self):
-        """Total weight, computed separably (no grid materialization)."""
-        out = 1.0
-        for w in self.weights_1d:
-            out *= float(np.sum(w))
-        return out
+        sum over blocks of dot(w, f(x)) is the quadrature value of
+        sum_k radial_weights[k] int_{S_{r_k}} f dA_flat (radial weights
+        default to 1).  With `symmetric` the integrand is taken to be
+        constant on each sphere, and one generic node per radius carries
+        the weight omega_{n-1} r^{n-1}; otherwise every radius gets the full
+        angular grid.  `entries_per_node` is the number of floats the
+        caller's integrand holds per node (n^3 for dg, n^4 for d2g); each
+        block has at most BLOCK_ENTRIES // entries_per_node nodes.
+        """
+        radii = np.asarray(radii, dtype=float).reshape(-1)
+        scale = radii ** (self.n - 1)
+        if radial_weights is not None:
+            scale = scale * np.asarray(radial_weights, dtype=float)
+        per_sphere = 1 if symmetric else self.num_nodes
+        total = radii.size * per_sphere
+        max_nodes = max(1, BLOCK_ENTRIES // entries_per_node)
+        for start in range(0, total, max_nodes):
+            k, index = np.divmod(
+                np.arange(start, min(start + max_nodes, total)), per_sphere
+            )
+            if symmetric:
+                u = sphere_chart(self.generic_node())[None, :]
+                w = np.full(k.size, unit_sphere_area(self.n))
+            else:
+                phi, w = self._nodes(index)
+                u = sphere_chart(phi)
+                w = w * flat_angular_density(phi)
+            yield radii[k, None] * u, scale[k] * w
 
     def generic_node(self):
-        """A single interior node with no special symmetry, used by fast paths."""
+        """A single interior node with no special symmetry (the one node
+        of a symmetric sample)."""
         phi = np.array([self.nodes_1d[k][self.q // 3] for k in range(self.n - 1)])
         return phi
 

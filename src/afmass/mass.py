@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SphereQuadrature, flat_angular_density, sphere_chart, unit_sphere_area
+from .geometry import SphereQuadrature, unit_sphere_area
 from .metrics import GeometryError, metric_derivatives_at
-from .spheres import sphere_report
+from .spheres import _closed_form, sphere_report
 
 __all__ = [
     "FitIllConditioned",
@@ -34,6 +34,7 @@ __all__ = [
     "MassEstimate",
     "flux_constant",
     "fit_inverse_power",
+    "extrapolate",
     "adm_flux",
     "adm_mass",
     "default_mass_radii",
@@ -106,22 +107,30 @@ def fit_inverse_power(radii, values, p):
     return float(coef[0]), float(coef[1]), rms
 
 
+def extrapolate(radii, raw, p):
+    """MassEstimate of the r -> infinity limit of raw samples at the radii.
+
+    Fits c0 + c1 r^{-p}; the error is |raw[-1] - c0| plus the fit residual."""
+    radii = tuple(float(r) for r in radii)
+    raw = tuple(float(v) for v in raw)
+    c0, c1, rms = fit_inverse_power(radii, raw, p)
+    return MassEstimate(
+        value=c0, error=abs(raw[-1] - c0) + rms, radii=radii, raw=raw,
+        model={"c0": c0, "c1": c1, "p": float(p)},
+    )
+
+
 def adm_flux(spec, r, q=32):
     """Raw mass flux through S_r (no extrapolation)."""
     n = spec.n
-    quad = SphereQuadrature(n, q)
-    if spec.family.rotationally_symmetric:
-        phi = quad.generic_node()[None, :]
-        u = sphere_chart(phi)
-        dg = metric_derivatives_at(spec, r * u, order=1)
-        val = _flux_integrand(dg, u)
-        return flux_constant(n) * float(val[0]) * unit_sphere_area(n) * r ** (n - 1)
+    # dg holds n^3 entries per node; fd mode also builds d2g (n^4)
+    entries = n ** 4 if spec.derivative_mode == "fd" else n ** 3
     total = 0.0
-    for phi, w in quad.blocks():
-        u = sphere_chart(phi)
-        dg = metric_derivatives_at(spec, r * u, order=1)
-        dens = flat_angular_density(phi) * r ** (n - 1)
-        total += float(np.dot(w, _flux_integrand(dg, u) * dens))
+    for x, w in SphereQuadrature(n, q).sample(
+        [r], spec.family.rotationally_symmetric, entries
+    ):
+        dg = metric_derivatives_at(spec, x, order=1)
+        total += float(np.dot(w, _flux_integrand(dg, x / r)))
     return flux_constant(n) * total
 
 
@@ -147,16 +156,9 @@ def adm_mass(spec, radii=None, q=32, p=None):
     """Total mass: flux at several radii, extrapolated to r = infinity."""
     if radii is None:
         radii = default_mass_radii(50.0 * 2.0 ** max(0, 5 - spec.n))
-    radii = tuple(float(r) for r in radii)
-    raw = tuple(adm_flux(spec, r, q=q) for r in radii)
     if p is None:
         p = _decay_exponent(spec)
-    c0, c1, rms = fit_inverse_power(radii, raw, p)
-    error = abs(raw[-1] - c0) + rms
-    return MassEstimate(
-        value=c0, error=error, radii=radii, raw=raw,
-        model={"c0": c0, "c1": c1, "p": float(p)},
-    )
+    return extrapolate(radii, [adm_flux(spec, r, q=q) for r in radii], p)
 
 
 def fg(spec, r, q=32, method="auto"):
@@ -178,13 +180,12 @@ def fg_detail(spec, r, q=32, method="auto", report=None):
     if report.rho_min <= 0.0:
         raise ZeroRhoMin(f"min induced scalar curvature {report.rho_min} <= 0 at r={r}")
     ratio = (n - 2.0) / (n - 1.0)
-    profile = spec.family.radial_profile
-    if method == "auto" and profile is not None:
+    closed = _closed_form(spec, r, method)
+    if closed is not None:
         # closed conformal forms give maxH2/rho_min = (1 + s)^2 with
         # s = 2 r U'/((n-2) U); expanding 1 - (1+s)^2 avoids the large-r
         # cancellation that otherwise grows like eps * r^{n-2}
-        u = float(profile.u(np.array([r]))[0])
-        du = float(profile.du(np.array([r]))[0])
+        u, du = closed
         s = 2.0 * r * du / ((n - 2.0) * u)
         bracket = -s * (2.0 + s)
     else:
@@ -205,14 +206,7 @@ def fg_detail(spec, r, q=32, method="auto", report=None):
 
 def fg_limit(spec, radii, q=32, method="auto"):
     """Extrapolate fg(S_r) to r = infinity with a c0 + c1/r model."""
-    radii = tuple(float(r) for r in radii)
-    raw = tuple(fg(spec, r, q=q, method=method) for r in radii)
-    c0, c1, rms = fit_inverse_power(radii, raw, 1.0)
-    error = abs(raw[-1] - c0) + rms
-    return MassEstimate(
-        value=c0, error=error, radii=radii, raw=raw,
-        model={"c0": c0, "c1": c1, "p": 1.0},
-    )
+    return extrapolate(radii, [fg(spec, r, q=q, method=method) for r in radii], 1.0)
 
 
 def penrose_like_check(spec, r, q=32, method="auto", mass=None):

@@ -101,6 +101,16 @@ class RadialProfile:
         self.tail_coefficient = tail_coefficient
         self.name = name
 
+    def positive_u(self, r):
+        """U at the radii r (an array); NonPositiveConformalFactor where
+        U <= 0, since U^{4/(n-2)} delta is no metric there."""
+        u = self.u(r)
+        if np.any(u <= 0.0):
+            raise NonPositiveConformalFactor(
+                f"conformal factor U <= 0 at r={r[u <= 0.0][:3]} (profile {self.name})"
+            )
+        return u
+
     def scaled(self, factor):
         """Profile of factor * U (used by homothety wrappers)."""
         return RadialProfile(
@@ -295,13 +305,8 @@ class RadialConformal(Family):
         return self.profile
 
     def _factor(self, r):
-        n = self.n
-        u = self.profile.u(r)
-        if np.any(u <= 0.0):
-            raise NonPositiveConformalFactor(
-                f"{self.name}: conformal factor U <= 0 at r={r[u <= 0.0][:3]}"
-            )
-        return u, u ** (4.0 / (n - 2))
+        u = self.profile.positive_u(r)
+        return u, u ** (4.0 / (self.n - 2))
 
     def metric(self, x):
         r = np.linalg.norm(x, axis=1)

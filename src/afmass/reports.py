@@ -11,7 +11,6 @@ import datetime
 import json
 import math
 
-from .mass import MassEstimate
 from .sequences import ExperimentReport
 from .spheres import SphereReport
 from .weighted import DefectReport
@@ -22,9 +21,6 @@ __all__ = [
     "read_json",
     "write_csv",
     "read_csv",
-    "mass_estimate_to_json",
-    "mass_estimate_from_json",
-    "experiment_report_to_json",
     "experiment_report_from_json",
     "defect_report_to_json",
     "defect_report_from_json",
@@ -104,18 +100,6 @@ def read_csv(path):
         reader = csv.reader(fh)
         rows = list(reader)
     return rows[0], rows[1:]
-
-
-def mass_estimate_to_json(est):
-    return est.to_json()
-
-
-def mass_estimate_from_json(obj):
-    return MassEstimate.from_json(obj)
-
-
-def experiment_report_to_json(rep):
-    return rep.to_json()
 
 
 def experiment_report_from_json(obj):

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import christoffel, ricci_tensor
-from .geometry import (
-    SphereQuadrature,
-    flat_angular_density,
-    sphere_chart,
-    unit_sphere_area,
-)
+from .geometry import SphereQuadrature, sphere_chart, unit_sphere_area
 from .metrics import (
     GeometryError,
     metric_at,
@@ -46,11 +41,6 @@ __all__ = [
     "conformal_sphere_scalar_curvature",
     "conformal_sphere_area",
 ]
-
-# entries of d2g (n^4 per node) held by one block of the generic
-# sphere_report: bounds its memory at every n
-REPORT_BLOCK_ENTRIES = 2 ** 22
-
 
 class DegenerateNormal(GeometryError):
     pass
@@ -114,23 +104,22 @@ def _closed_form(spec, r, method):
     profile = spec.family.radial_profile
     if method != "auto" or profile is None or spec.n < 3:
         return None
-    rr = np.array([r])
-    return float(profile.u(rr)[0]), float(profile.du(rr)[0])
+    rr = np.array([float(r)])
+    return float(profile.positive_u(rr)[0]), float(profile.du(rr)[0])
 
 
 # ---------------------------------------------------------------------------
 # generic route
 
 
-def _geometry_at(spec, r, phi, order):
-    """Pointwise geometry of S_r at the angles phi: (density, H, rho).
+def _geometry_at(spec, r, x, order):
+    """Pointwise geometry of S_r at the points x (N, n) on it: (density, H, rho).
 
     density = sqrt(det g) |d|x||_g is the ratio of the g-area element of S_r
     to the flat one.  The metric is differentiated up to `order`: H needs
     order >= 1 and rho order 2; each is None below that.
     """
-    u = sphere_chart(phi)  # the covector d|x| at x = r u
-    x = r * u
+    u = x / r  # the covector d|x|
     N, n = x.shape
     g = metric_at(spec, x)
     ginv = np.linalg.inv(g)
@@ -175,17 +164,12 @@ def sphere_area(spec, r, q=32, method="auto"):
     closed = _closed_form(spec, r, method)
     if closed is not None:
         return conformal_sphere_area(n, r, closed[0])
-    quad = SphereQuadrature(n, q)
-    if method == "auto" and spec.family.rotationally_symmetric:
-        # density over the flat one is constant on the sphere
-        density = _geometry_at(spec, r, quad.generic_node()[None, :], 0)[0]
-        return float(density[0]) * unit_sphere_area(n) * r ** (n - 1)
-
-    def integrand(phi):
-        density = _geometry_at(spec, r, phi, 0)[0]
-        return density * r ** (n - 1) * flat_angular_density(phi)
-
-    return quad.integrate(integrand)
+    # for a rotationally symmetric metric the density is constant on S_r
+    symmetric = method == "auto" and spec.family.rotationally_symmetric
+    return sum(
+        float(np.dot(w, _geometry_at(spec, r, x, 0)[0]))
+        for x, w in SphereQuadrature(n, q).sample([r], symmetric, n * n)
+    )
 
 
 def mean_curvature_at(spec, r, phi, method="auto"):
@@ -201,7 +185,7 @@ def mean_curvature_at(spec, r, phi, method="auto"):
     if closed is not None:
         H = np.full(phi.shape[0], conformal_mean_curvature(n, r, *closed))
     else:
-        H = _geometry_at(spec, r, phi, 1)[1]
+        H = _geometry_at(spec, r, r * sphere_chart(phi), 1)[1]
     return float(H[0]) if single else H
 
 
@@ -217,7 +201,7 @@ def intrinsic_scalar_curvature_at(spec, r, phi, method="auto"):
     if closed is not None:
         rho = np.full(phi.shape[0], conformal_sphere_scalar_curvature(n, r, closed[0]))
     else:
-        rho = _geometry_at(spec, r, phi, 2)[2]
+        rho = _geometry_at(spec, r, r * sphere_chart(phi), 2)[2]
     return float(rho[0]) if single else rho
 
 
@@ -233,22 +217,17 @@ def sphere_report(spec, r, q=32, method="auto"):
             r=float(r), area=area, H_min=H, H_max=H, maxH2=H * H,
             rho_min=rho, rho_max=rho, q=q,
         )
-    quad = SphereQuadrature(n, q)
-    if method == "auto" and spec.family.rotationally_symmetric:
-        # one node stands for the sphere; its weight makes the area exact
-        phi = quad.generic_node()[None, :]
-        blocks = [(phi, unit_sphere_area(n) / flat_angular_density(phi))]
-    else:
-        blocks = quad.blocks(max(1, REPORT_BLOCK_ENTRIES // n ** 4))
+    # one node stands for the sphere of a rotationally symmetric metric
+    symmetric = method == "auto" and spec.family.rotationally_symmetric
     area = 0.0
     H_min = math.inf
     H_max = -math.inf
     maxH2 = 0.0
     rho_min = math.inf
     rho_max = -math.inf
-    for phi, w in blocks:
-        density, H, rho = _geometry_at(spec, r, phi, 2)
-        area += float(np.dot(w, density * flat_angular_density(phi))) * r ** (n - 1)
+    for x, w in SphereQuadrature(n, q).sample([r], symmetric, n ** 4):
+        density, H, rho = _geometry_at(spec, r, x, 2)
+        area += float(np.dot(w, density))
         H_min = min(H_min, float(H.min()))
         H_max = max(H_max, float(H.max()))
         maxH2 = max(maxH2, float((H * H).max()))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphereQuadrature, flat_angular_density, sphere_chart, unit_sphere_area
-from .mass import MassEstimate, adm_flux, fit_inverse_power, flux_constant
+from .geometry import SphereQuadrature
+from .mass import adm_flux, extrapolate, flux_constant
 from .metrics import (
     GeometryError,
     metric_at,
@@ -77,32 +77,34 @@ def weighted_seminorm(spec, params, reference=None):
     n = spec.n
     if params.k > 2:
         raise ValueError("derivative order at most 2 is supported")
-    quad = SphereQuadrature(n, max(2, params.angular_q))
-    if spec.family.rotationally_symmetric and (
+    symmetric = spec.family.rotationally_symmetric and (
         reference is None or reference.family.rotationally_symmetric
-    ):
-        dirs = sphere_chart(quad.generic_node()[None, :])
-    else:
-        phi, _ = quad.full_grid()
-        dirs = sphere_chart(phi)
+    )
     worst = 0.0
-    for r in params.radii():
-        x = r * dirs
+    for x, _ in SphereQuadrature(n, max(2, params.angular_q)).sample(
+        params.radii(), symmetric, n ** (2 + params.k)
+    ):
+        r = np.linalg.norm(x, axis=1)
         diff = metric_at(spec, x) - (
             np.eye(n)[None] if reference is None else metric_at(reference, x)
         )
-        worst = max(worst, r ** params.tau * float(np.abs(diff).max()))
+        worst = max(worst, _weighted_max(r ** params.tau, diff))
         if params.k >= 1:
             dg = metric_derivatives_at(spec, x, order=1)
             if reference is not None:
                 dg = dg - metric_derivatives_at(reference, x, order=1)
-            worst = max(worst, r ** (params.tau + 1) * float(np.abs(dg).max()))
+            worst = max(worst, _weighted_max(r ** (params.tau + 1), dg))
         if params.k >= 2:
             _, d2g = metric_derivatives_at(spec, x, order=2)
             if reference is not None:
                 d2g = d2g - metric_derivatives_at(reference, x, order=2)[1]
-            worst = max(worst, r ** (params.tau + 2) * float(np.abs(d2g).max()))
+            worst = max(worst, _weighted_max(r ** (params.tau + 2), d2g))
     return worst
+
+
+def _weighted_max(weight, values):
+    """max over points p of weight[p] * max |values[p]|."""
+    return float((weight * np.abs(values).reshape(len(weight), -1).max(axis=1)).max())
 
 
 def d_operator_at(spec, x):
@@ -124,26 +126,14 @@ def _volume_quadrature(spec, fn, inner, outer, q, radial_q=64):
     """int_{inner<|x|<outer} fn dx with Gauss-Legendre radial panels."""
     n = spec.n
     quad = SphereQuadrature(n, q)
+    xg, wg = np.polynomial.legendre.leggauss(radial_q)
     total = 0.0
-    panels = radial_panels(inner, outer, spec.family.radial_breakpoints)
-    for lo, hi in panels:
-        xg, wg = np.polynomial.legendre.leggauss(radial_q)
-        rr = 0.5 * (hi - lo) * (xg + 1.0) + lo
-        ww = 0.5 * (hi - lo) * wg
-        if spec.family.rotationally_symmetric:
-            u = sphere_chart(quad.generic_node()[None, :])
-            pts = rr[:, None] * u
-            vals = fn(spec, pts)
-            total += float(
-                np.dot(ww, vals * rr ** (n - 1)) * unit_sphere_area(n)
-            )
-        else:
-            for phi, w in quad.blocks():
-                u = sphere_chart(phi)
-                dens = flat_angular_density(phi)
-                for r, wr in zip(rr, ww):
-                    vals = fn(spec, r * u)
-                    total += wr * r ** (n - 1) * float(np.dot(w, vals * dens))
+    for lo, hi in radial_panels(inner, outer, spec.family.radial_breakpoints):
+        for x, w in quad.sample(
+            0.5 * (hi - lo) * (xg + 1.0) + lo, spec.family.rotationally_symmetric,
+            n ** 4, radial_weights=0.5 * (hi - lo) * wg,
+        ):
+            total += float(np.dot(w, fn(spec, x)))
     return total
 
 
@@ -174,16 +164,13 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64,
         samples.append(acc)
         lo = R
     p = max(min(n - 2, getattr(spec.family, "flux_decay_order", None) or n - 2), 1)
-    c0, c1, rms = fit_inverse_power(radii, samples, p)
-    if tail_tol is not None and abs(samples[-1] - c0) > tail_tol:
+    est = extrapolate(radii, samples, p)
+    residual = abs(samples[-1] - est.value)
+    if tail_tol is not None and residual > tail_tol:
         raise TailNotNegligible(
-            f"residual {abs(samples[-1] - c0):.3e} beyond R={outer} exceeds {tail_tol}"
+            f"residual {residual:.3e} beyond R={outer} exceeds {tail_tol}"
         )
-    error = abs(samples[-1] - c0) + rms
-    return MassEstimate(
-        value=c0, error=error, radii=tuple(radii), raw=tuple(samples),
-        model={"c0": c0, "c1": c1, "p": float(p)},
-    )
+    return est
 
 
 def _scalar_density(spec, pts):

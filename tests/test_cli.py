@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import afmass.mass
 from afmass.cli import ConfigInvalid, RunConfig, main, run
 from afmass.reports import read_csv, read_json, strip_volatile
 
@@ -97,6 +98,19 @@ class TestConfigValidation:
         )
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) != 0
 
+    @pytest.mark.parametrize("doc", [
+        {"command": "sequence", "kind": "shells", "indices": [0, 1]},
+        {"command": "sequence", "kind": "blow_up", "n": 2},
+        {"command": "adm-mass", "radii": [50, 100], "q": 4,
+         "spec": {"n": 9, "family": "Schwarzschild", "params": {"m": 1.0}}},
+    ], ids=["shells-index-0", "blow_up-n2", "adm-mass-n9"])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
     def test_invalid_spec_rejected(self):
         cfg = RunConfig({"command": "adm-mass", "spec": {"n": 3, "family": "Nope"}})
         with pytest.raises(ConfigInvalid):
@@ -117,6 +131,20 @@ class TestComputationFailure:
         assert main(["--config", cfg, "--out", str(out)]) == 1
         err = read_json(out / "error.json")
         assert "error" in err["result"] and "message" in err["result"]
+
+    def test_non_positive_conformal_factor_exit_1(self, tmp_path):
+        # U = 1 + m/(2r) = -4 at r = 0.1: the closed forms must not be used
+        cfg = write_config(tmp_path, {
+            "command": "fg-profile",
+            "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": -1.0}},
+            "radii": [0.1, 0.2],
+            "q": 4,
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["error.json"]
+        err = load_strict(out / "error.json")["result"]
+        assert err["error"] == "NonPositiveConformalFactor"
 
     def test_nan_result_exit_1(self, tmp_path):
         # m = 1e400 parses as inf; the flux of that metric is NaN
@@ -223,6 +251,29 @@ class TestFgProfileCommand:
                           "hypothesis_holds"]
         assert rows[0][5] == "true"
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_one_sphere_report_per_radius(self, tmp_path, monkeypatch):
+        calls = []
+        original = afmass.mass.sphere_report
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(afmass.mass, "sphere_report", counting)
+        cfg = write_config(tmp_path, {
+            "command": "fg-profile",
+            "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                     "params": {"m": 1.0, "c": 0.2}},
+            "radii": [20, 40, 80, 160], "q": 4,
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert calls == [20.0, 40.0, 80.0, 160.0]
+        header, rows = read_csv(out / "fg_profile.csv")
+        result = read_json(out / "fg_limit.json")["result"]
+        assert result["raw"] == [float(row[1]) for row in rows]
 
 
 class TestDeterminism:

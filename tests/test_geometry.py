@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afmass.geometry import (
+    BLOCK_ENTRIES,
     SphereQuadrature,
     flat_angular_density,
     sphere_chart,
@@ -63,36 +64,68 @@ def test_quadrature_reproduces_sphere_area(n, q):
 
 def test_quadrature_full_grid_matches_separable_area():
     quad = SphereQuadrature(4, 12)
-    total = quad.integrate(flat_angular_density)
+    phi, w = quad.full_grid()
+    total = float(np.dot(w, flat_angular_density(phi)))
     assert total == pytest.approx(unit_sphere_area(4), rel=1e-10)
 
 
 def test_blocks_cover_full_grid():
+    # every radius gets the full grid, in grid order, with the flat area
+    # element and the radial weight folded into the weights
     quad = SphereQuadrature(3, 8)
     phi_full, w_full = quad.full_grid()
-    pieces = list(quad.blocks())
-    phi_cat = np.concatenate([p for p, _ in pieces])
-    w_cat = np.concatenate([np.atleast_1d(w) for _, w in pieces])
-    assert phi_cat.shape == phi_full.shape
-    assert np.isclose(w_cat.sum(), w_full.sum())
+    radii = np.array([2.0, 5.0])
+    pieces = list(quad.sample(radii, False, 2 ** 22 // 7, radial_weights=[0.5, 3.0]))
+    assert len(pieces) > 1
+    x = np.concatenate([x for x, _ in pieces])
+    w = np.concatenate([w for _, w in pieces])
+    u = sphere_chart(phi_full)
+    dens = w_full * flat_angular_density(phi_full)
+    assert np.allclose(x, np.concatenate([2.0 * u, 5.0 * u]), rtol=0, atol=1e-15)
+    assert np.allclose(w, np.concatenate([0.5 * 4.0 * dens, 3.0 * 25.0 * dens]),
+                       rtol=1e-15, atol=0)
 
 
 def test_blocks_split_large_grids():
     quad = SphereQuadrature(6, 24)
-    quad.max_block = 2 ** 12
     sizes = []
     total = 0.0
-    for phi, w in quad.blocks():
-        sizes.append(phi.shape[0])
-        total += float(np.dot(w, flat_angular_density(phi)))
+    for x, w in quad.sample([1.0], False, BLOCK_ENTRIES // 2 ** 12):
+        sizes.append(x.shape[0])
+        total += float(w.sum())
     assert max(sizes) <= 2 ** 12
+    assert sum(sizes) == quad.num_nodes
     assert total == pytest.approx(unit_sphere_area(6), rel=1e-10)
 
 
-def test_angle_box_volume():
-    quad = SphereQuadrature(4, 10)
-    # [0, pi]^2 x [0, 2pi)
-    assert quad.angle_box_volume() == pytest.approx(2.0 * math.pi ** 3, rel=1e-12)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_sample_bounds_block_memory_at_n7(symmetric):
+    n, q, r = 7, 8, 3.0
+    quad = SphereQuadrature(n, q)
+    cap = BLOCK_ENTRIES // n ** 4
+    sizes = []
+    total = 0.0
+    for x, w in quad.sample([r], symmetric, n ** 4):
+        sizes.append(x.shape[0])
+        assert np.allclose(np.linalg.norm(x, axis=1), r, rtol=1e-14)
+        total += float(w.sum())
+    assert max(sizes) <= cap
+    assert sum(sizes) == (1 if symmetric else quad.num_nodes)
+    # a symmetric sample is exact; at q = 8 the grid misses omega_6 by 2e-5
+    area = unit_sphere_area(n) if symmetric else quad.unit_sphere_weighted_area()
+    assert area == pytest.approx(unit_sphere_area(n), rel=1e-4)
+    assert total == pytest.approx(area * r ** (n - 1), rel=1e-12)
+
+
+def test_symmetric_sample_is_one_node_per_radius():
+    quad = SphereQuadrature(4, 16)
+    radii = np.geomspace(1.0, 100.0, 5)
+    (x, w), = quad.sample(radii, True, 4 ** 4, radial_weights=np.arange(1.0, 6.0))
+    assert np.allclose(np.linalg.norm(x, axis=1), radii, rtol=1e-14)
+    assert np.allclose(x / radii[:, None], sphere_chart(quad.generic_node()))
+    assert np.allclose(
+        w, np.arange(1.0, 6.0) * unit_sphere_area(4) * radii ** 3, rtol=1e-14
+    )
 
 
 def test_generic_node_interior():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from afmass.mass import (
     ZeroRhoMin,
     adm_flux,
     adm_mass,
+    extrapolate,
     fg,
     fg_detail,
     fg_limit,
@@ -20,6 +22,7 @@ from afmass.mass import (
     penrose_like_check,
 )
 from afmass.metrics import (
+    asymptotically_schwarzschild,
     conformally_flat,
     euclidean,
     harmonic_dipole_field,
@@ -178,3 +181,27 @@ def test_mass_estimate_json_roundtrip():
                        raw=(1.01, 1.005), model={"c0": 1.0, "c1": 0.5, "p": 1.0})
     back = MassEstimate.from_json(est.to_json())
     assert back == est
+
+
+def test_extrapolate_fits_inverse_power():
+    radii = (10.0, 20.0, 40.0)
+    raw = [2.0 + 3.0 * r ** -1.5 for r in radii]
+    est = extrapolate(radii, raw, 1.5)
+    assert est.value == pytest.approx(2.0, abs=1e-12)
+    assert est.model == {"c0": est.value, "c1": pytest.approx(3.0), "p": 1.5}
+    assert est.error == pytest.approx(abs(raw[-1] - 2.0), rel=1e-9)
+    assert est.radii == radii and est.raw == tuple(raw)
+
+
+def test_grid_flux_memory_is_bounded_at_n7():
+    # the full n = 7, q = 7 grid has 117,649 nodes, whose dg alone is 323 MB;
+    # blocks of BLOCK_ENTRIES entries of dg keep the peak far below that
+    spec = asymptotically_schwarzschild(7, 1.0, c=0.3)
+    tracemalloc.start()
+    try:
+        flux = adm_flux(spec, 100.0, q=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20, peak
+    assert flux == pytest.approx(1.0, abs=2e-3)

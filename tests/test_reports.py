@@ -7,9 +7,6 @@ from afmass.reports import (
     defect_report_from_json,
     defect_report_to_json,
     experiment_report_from_json,
-    experiment_report_to_json,
-    mass_estimate_from_json,
-    mass_estimate_to_json,
     read_csv,
     read_json,
     sphere_report_csv_rows,
@@ -25,12 +22,12 @@ from afmass.weighted import DefectReport
 def test_mass_estimate_roundtrip():
     est = MassEstimate(value=1.0, error=1e-5, radii=(50.0, 100.0),
                        raw=(1.02, 1.01), model={"c0": 1.0, "c1": 1.0, "p": 1.0})
-    assert mass_estimate_from_json(mass_estimate_to_json(est)) == est
+    assert MassEstimate.from_json(est.to_json()) == est
 
 
 def test_experiment_report_roundtrip():
     rep = run_semicontinuity_experiment("constant", n=3, indices=(1, 2))
-    back = experiment_report_from_json(experiment_report_to_json(rep))
+    back = experiment_report_from_json(rep.to_json())
     assert back == rep
 
 
@@ -57,7 +54,7 @@ def test_json_round_trips_losslessly(tmp_path):
                        model={"c0": 1.0 / 3.0, "c1": 0.0, "p": 1.0})
     path = tmp_path / "est.json"
     write_json_report(path, est.to_json())
-    back = mass_estimate_from_json(read_json(path)["result"])
+    back = MassEstimate.from_json(read_json(path)["result"])
     assert back == est
 
 
