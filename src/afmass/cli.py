@@ -20,6 +20,7 @@ failed, in which case an error report JSON is still written.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -74,6 +75,12 @@ class RunConfig:
                           "quadrature order q")
         if self.q < 2:
             raise ConfigInvalid("quadrature order must be >= 2")
+        # check the shape of the inputs that handlers convert, before any
+        # computation starts
+        if raw.get("radii") is not None:
+            self.radii()
+        if command == "cone-angle":
+            self.surface()
 
     def echo(self):
         doc = dict(self.raw)
@@ -92,12 +99,14 @@ class RunConfig:
             raise ConfigInvalid(f"invalid metric spec: {exc}") from exc
 
     def radii(self, default=None, required=True):
-        radii = self.raw.get("radii", default)
+        radii = self.raw.get("radii")
+        if radii is None:
+            radii = default
         if radii is None:
             if required:
                 raise ConfigInvalid("config needs a 'radii' list")
             return None
-        radii = [float(r) for r in radii]
+        radii = [_real(r, "radius") for r in _list(radii, "radii")]
         if not radii:
             raise ConfigInvalid("radii list must not be empty")
         if sorted(radii) != radii or min(radii) <= 0.0:
@@ -108,7 +117,7 @@ class RunConfig:
         indices = self.raw.get("indices", list(default))
         if not indices:
             raise ConfigInvalid("indices list must not be empty")
-        indices = [_integer(i, "index") for i in indices]
+        indices = [_integer(i, "index") for i in _list(indices, "indices")]
         if min(indices) < 1:
             raise ConfigInvalid(f"indices must be >= 1, got {indices}")
         return indices
@@ -117,15 +126,17 @@ class RunConfig:
         alpha = self.raw.get("alpha")
         if alpha is None:
             raise ConfigInvalid("cone commands need an 'alpha' value")
-        alpha = float(alpha)
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigInvalid("alpha must lie in (0, 1]")
+        alpha = _opening(alpha)
         pert = self.raw.get("perturbation")
+        if pert is not None and not isinstance(pert, dict):
+            raise ConfigInvalid(
+                f"perturbation must be an object with 'amplitude' and 'tau', got {pert!r}"
+            )
         if pert:
             return cone_mod.perturbed_cone(
                 alpha,
-                amplitude=float(pert.get("amplitude", 0.1)),
-                tau=float(pert.get("tau", 1.0)),
+                amplitude=_real(pert.get("amplitude", 0.1), "perturbation amplitude"),
+                tau=_real(pert.get("tau", 1.0), "perturbation tau"),
             )
         return cone_mod.capped_cone(alpha)
 
@@ -137,6 +148,33 @@ def _integer(value, what):
     ):
         raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what):
+    """A finite real config value; a string, a boolean or an overflow is rejected."""
+    try:
+        finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigInvalid(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(value, what):
+    """A list config value; a number, a string or an object is rejected."""
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _opening(value):
+    """A cone opening alpha in (0, 1]."""
+    alpha = _real(value, "alpha")
+    if not 0.0 < alpha <= 1.0:
+        raise ConfigInvalid("alpha must lie in (0, 1]")
+    return alpha
 
 
 def _dimension(value):
@@ -225,7 +263,7 @@ def _cmd_sequence(cfg):
     n = _dimension(cfg.raw.get("n", 3))
     kw = {}
     if "window_L" in cfg.raw:
-        kw["half_width"] = float(cfg.raw["window_L"])
+        kw["half_width"] = _real(cfg.raw["window_L"], "window_L")
     if "resolution" in cfg.raw:
         kw["grid_q"] = _integer(cfg.raw["resolution"], "resolution")
     rep = seq_mod.run_semicontinuity_experiment(
@@ -250,9 +288,7 @@ def _cmd_cone_sequence(cfg):
         raise ConfigInvalid(
             f"cone sequence kind must be one of {cone_mod.CONE_EXPERIMENT_KINDS}"
         )
-    alpha = float(cfg.raw.get("alpha", 0.7))
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigInvalid("alpha must lie in (0, 1]")
+    alpha = _opening(cfg.raw.get("alpha", 0.7))
     rep = cone_mod.cone_semicontinuity_experiment(
         kind, alpha=alpha, indices=cfg.indices(default=(4, 8, 16, 32))
     )

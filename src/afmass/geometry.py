@@ -89,10 +89,11 @@ class SphereQuadrature:
         self.q = q
         self.nodes_1d = []
         self.weights_1d = []
-        for _ in range(n - 2):
+        if n > 2:
+            # the n - 2 polar angles share one Gauss-Legendre rule on [0, pi]
             xg, wg = np.polynomial.legendre.leggauss(q)
-            self.nodes_1d.append(0.5 * math.pi * (xg + 1.0))
-            self.weights_1d.append(0.5 * math.pi * wg)
+            self.nodes_1d = [0.5 * math.pi * (xg + 1.0)] * (n - 2)
+            self.weights_1d = [0.5 * math.pi * wg] * (n - 2)
         self.nodes_1d.append(2.0 * math.pi * np.arange(q) / q)
         self.weights_1d.append(np.full(q, 2.0 * math.pi / q))
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .mass import adm_mass
 from .metrics import (
@@ -93,7 +92,11 @@ def blow_up_window(spec, p, i, half_width=1.0, q=4):
     n = spec.n
     p = np.asarray(p, dtype=float)
     gp = metric_at(spec, p)
-    A = np.real(sqrtm(np.linalg.inv(gp)))
+    # g(p)^{-1/2} from the eigendecomposition of the symmetric g(p)
+    lam, V = np.linalg.eigh(gp)
+    if lam[0] <= 0.0:
+        raise GeometryError(f"metric at the window center {p} is not positive definite")
+    A = (V / np.sqrt(lam)) @ V.T
     A = 0.5 * (A + A.T)
     grid = window_grid(n, half_width, q)
     pts = p[None, :] + grid @ A.T / i

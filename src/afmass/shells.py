@@ -18,11 +18,9 @@ Radial ODE facts used throughout (Q(r) = int_0^r s^{n-1} rho(s) ds):
     v(r)   = Q(infinity) r^{2-n} / (n-2)   for r past the support.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .geometry import unit_sphere_area
 from .metrics import (
@@ -64,7 +62,9 @@ class ShellDensity:
 def default_shell_density(n):
     """Smooth bump on [1/2, 1], normalized to unit total integral in R^n.
 
-    Base profile (1 - (4(s - 3/4))^2)^3: C^2 at both endpoints."""
+    Base profile (1 - (4(s - 3/4))^2)^3: C^2 at both endpoints.  On the
+    support s^{n-1} times the bump is a polynomial of degree n + 5, so the
+    16-node Gauss-Legendre rule normalizes it exactly."""
 
     def bump(s):
         s = np.asarray(s, dtype=float)
@@ -72,7 +72,9 @@ def default_shell_density(n):
         out = np.where((s > 0.5) & (s < 1.0), np.maximum(t, 0.0) ** 3, 0.0)
         return out
 
-    raw, _ = _scipy_quad(lambda s: s ** (n - 1) * float(bump(s)), 0.5, 1.0)
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    s = 0.25 * (xg + 1.0) + 0.5
+    raw = 0.25 * float(np.dot(wg, s ** (n - 1) * bump(s)))
     norm = unit_sphere_area(n) * raw
 
     def rho(s):
@@ -82,98 +84,68 @@ def default_shell_density(n):
 
 
 def _charge_function(n, density, i, radial_q=80):
-    """Q_i(r) = int_0^r s^{n-1} rho_i(s) ds on a panel-wise Gauss grid.
+    """Q_i(r) = int_0^r s^{n-1} rho_i(s) ds, one Gauss panel per radius.
 
     rho_i(s) = i^{-n} rho(s / i) is supported in [i*lo, i*hi]; Q_i is 0
-    before the support and constant after it.  Returns a callable plus the
-    limiting value Q_i(inf) = total / omega_{n-1}."""
-    lo, hi = i * density.lo, i * density.hi
-    xg, wg = np.polynomial.legendre.leggauss(radial_q)
+    before the support and constant after it, so each panel runs over
+    [lo, clip(r, lo, hi)].  Returns Q, the limiting value
+    Q_i(inf) = total / omega_{n-1}, and panel(a, b, p): the sums
+    int_a^b s^p rho_i(s) ds with one radial_q-node Gauss-Legendre panel per
+    pair of bounds (a and b broadcast against each other).  Inside the
+    support the default rho_i is a polynomial of degree 6, so the panels of
+    s^{n-1} rho_i and s rho_i are exact."""
     if radial_q < MIN_SUPPORT_NODES:
         raise GridTooCoarse(
             f"{radial_q} nodes across the density support; need >= {MIN_SUPPORT_NODES}"
         )
-    nodes = 0.5 * (hi - lo) * (xg + 1.0) + lo
-    weights = 0.5 * (hi - lo) * wg
-    dens_vals = i ** (-n) * density.rho(nodes / i)
-    increments = weights * nodes ** (n - 1) * dens_vals
-    # cumulative Q at the Gauss nodes; interpolate inside the support
-    cum = np.cumsum(increments)
-    q_inf = float(cum[-1])
+    lo, hi = i * density.lo, i * density.hi
+    xg, wg = np.polynomial.legendre.leggauss(radial_q)
+
+    def panel(a, b, p):
+        a = np.asarray(a, dtype=float)
+        half = np.asarray(0.5 * (b - a))
+        s = half[..., None] * (xg + 1.0) + a[..., None]
+        return half * ((s ** p * i ** (-n) * density.rho(s / i)) @ wg)
 
     def Q(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        below = r <= lo
-        above = r >= hi
-        mid = ~(below | above)
-        out[below] = 0.0
-        out[above] = q_inf
-        if np.any(mid):
-            # panel integral from lo to each r: reuse the fixed Gauss rule
-            rm = r[mid]
-            out[mid] = [
-                float(
-                    np.dot(
-                        0.5 * (t - lo) * wg,
-                        (0.5 * (t - lo) * (xg + 1.0) + lo) ** (n - 1)
-                        * i ** (-n)
-                        * density.rho((0.5 * (t - lo) * (xg + 1.0) + lo) / i),
-                    )
-                )
-                for t in rm
-            ]
-        return out
+        return panel(lo, np.clip(np.asarray(r, dtype=float), lo, hi), n - 1)
 
-    return Q, q_inf
+    return Q, float(Q(hi)), panel
 
 
 def solve_shell_potential(n, i, density=None, radial_q=80):
     """RadialProfile u_i = 1 + v_i with -Delta v_i = rho_i, v_i(inf) = 0.
 
-    v is recovered from v'(r) = -r^{1-n} Q(r) by integrating inward from
-    infinity; past the support this is the exact power tail
-    Q_inf r^{2-n} / (n-2), and inside the support the correction is a
-    single Gauss panel over [r, hi]."""
+    Newton's shell theorem: integrating v(r) = int_r^inf s^{1-n} Q(s) ds by
+    parts gives
+
+        v(r) = (r^{2-n} Q(r) + int_r^inf s rho_i(s) ds) / (n - 2),
+
+    two Gauss panels per radius, over [lo, t] and [t, hi] with
+    t = clip(r, lo, hi).  Past the support this is the exact power tail
+    Q_inf r^{2-n} / (n-2); inside the cavity Q = 0 and v is constant, and
+    max(r, lo) in place of r keeps 0 * inf out of it (also in v' and v'')."""
     if n < 3:
         raise ValueError("need n >= 3 for a decaying potential")
     if density is None:
         density = default_shell_density(n)
     lo, hi = i * density.lo, i * density.hi
-    Q, q_inf = _charge_function(n, density, i, radial_q=radial_q)
+    Q, q_inf, panel = _charge_function(n, density, i, radial_q=radial_q)
     tail = q_inf / (n - 2)
-    xg, wg = np.polynomial.legendre.leggauss(radial_q)
 
     def v(r):
         r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        above = r >= hi
-        out[above] = tail * r[above] ** (2 - n)
-        rest = ~above
-        if np.any(rest):
-            # v(r) = v(hi) + int_r^hi s^{1-n} Q(s) ds
-            # Q vanishes below the support, so the integral from r only
-            # sees [max(r, lo), hi]; v is constant inside the cavity
-            vals = []
-            for t in r[rest]:
-                a = min(max(t, lo), hi)
-                s = 0.5 * (hi - a) * (xg + 1.0) + a
-                w = 0.5 * (hi - a) * wg
-                vals.append(
-                    tail * hi ** (2 - n)
-                    + float(np.dot(w, s ** (1 - n) * Q(s)))
-                )
-            out[rest] = vals
-        return out
+        return (np.maximum(r, lo) ** (2 - n) * Q(r)
+                + panel(np.clip(r, lo, hi), hi, 1)) / (n - 2)
 
     def dv(r):
         r = np.asarray(r, dtype=float)
-        return -r ** (1 - n) * Q(r)
+        return -np.maximum(r, lo) ** (1 - n) * Q(r)
 
     def d2v(r):
         r = np.asarray(r, dtype=float)
         rho_vals = i ** (-n) * density.rho(r / i)
-        return (n - 1) * r ** (-n) * Q(r) - rho_vals
+        return (n - 1) * np.maximum(r, lo) ** (-n) * Q(r) - rho_vals
 
     u0 = float(v(np.array([max(lo * 0.5, 1e-6)]))[0])
     if 1.0 + u0 <= 0.0:
@@ -196,7 +168,7 @@ def shell_tail_coefficient(n, density=None):
     default unit-mass density."""
     if density is None:
         return 1.0 / ((n - 2) * unit_sphere_area(n))
-    _, q_inf = _charge_function(n, density, 1)
+    _, q_inf, _ = _charge_function(n, density, 1)
     return q_inf / (n - 2)
 
 

@@ -111,6 +111,18 @@ class TestConfigValidation:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("doc", [
+        {"command": "adm-mass", "spec": SCHWARZSCHILD_N3, "radii": 5},
+        {"command": "adm-mass", "spec": SCHWARZSCHILD_N3, "radii": ["x"]},
+        {"command": "cone-angle", "alpha": 0.7, "perturbation": 3},
+    ], ids=["radii-number", "radii-string", "perturbation-number"])
+    def test_wrong_shape_exit_2(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_spec_rejected(self):
         cfg = RunConfig({"command": "adm-mass", "spec": {"n": 3, "family": "Nope"}})
         with pytest.raises(ConfigInvalid):

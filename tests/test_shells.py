@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from shell_reference import reference_charge_function, reference_potential
 
+import afmass
 from afmass.geometry import unit_sphere_area
 from afmass.mass import adm_mass
 from afmass.metrics import metric_at, scalar_curvature_at
 from afmass.shells import (
     GridTooCoarse,
+    _charge_function,
     default_shell_density,
     shell_mass,
     shell_matter_coupling,
@@ -140,3 +146,89 @@ class TestMatterCoupling:
             MASS_ORACLE[3], rel=1e-12
         )
         assert shell_mass(3) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+
+
+def _shell_radii(n, i):
+    """Radii in the cavity, at lo, inside the support, at hi and beyond."""
+    dens = default_shell_density(n)
+    lo, hi = i * dens.lo, i * dens.hi
+    return np.concatenate([
+        [1e-3 * lo, 0.5 * lo, lo],
+        np.linspace(lo, hi, 13)[1:-1],
+        [hi, 1.5 * hi, 40.0 * hi],
+    ])
+
+
+class TestNewtonRoute:
+    """v by Newton's shell theorem against the nested quadrature."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("i", [1, 2, 8])
+    def test_matches_nested_quadrature(self, n, i):
+        dens = default_shell_density(n)
+        r = _shell_radii(n, i)
+        prof = solve_shell_potential(n, i)
+        ref_u, ref_du, ref_d2u = reference_potential(n, i, dens)
+        np.testing.assert_allclose(prof.u(r), ref_u(r), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(prof.du(r), ref_du(r), rtol=1e-13, atol=0.0)
+        # d2u = (n-1) r^{-n} Q - rho cancels inside the support: compare at
+        # the scale of the profile's largest d2u
+        ref = ref_d2u(r)
+        np.testing.assert_allclose(
+            prof.d2u(r), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max()
+        )
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_flat_center(self, n):
+        # v is constant in the cavity, down to r = 0
+        prof = solve_shell_potential(n, 2)
+        r = np.array([0.0, 0.5])
+        assert prof.u(r)[0] == prof.u(r)[1]
+        assert np.array_equal(prof.du(r), [0.0, 0.0])
+        assert np.array_equal(prof.d2u(r), [0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("i", [1, 8])
+    def test_charge_matches_nested_quadrature(self, n, i):
+        dens = default_shell_density(n)
+        r = _shell_radii(n, i)
+        Q, q_inf, _ = _charge_function(n, dens, i)
+        ref_Q, ref_q_inf = reference_charge_function(n, dens, i)
+        np.testing.assert_allclose(Q(r), ref_Q(r), rtol=1e-13, atol=0.0)
+        assert q_inf == pytest.approx(ref_q_inf, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("i", [1, 2, 8])
+    def test_radial_ode_on_support(self, n, i):
+        # v'' + (n-1) v' / r = -rho_i
+        dens = default_shell_density(n)
+        r = i * np.linspace(dens.lo, dens.hi, 41)
+        prof = solve_shell_potential(n, i)
+        rho_i = i ** (-n) * dens.rho(r / i)
+        lhs = prof.d2u(r) + (n - 1) * prof.du(r) / r
+        assert np.abs(lhs + rho_i).max() <= 1e-12 * rho_i.max()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("i", [1, 2, 8])
+    def test_total_charge(self, n, i):
+        # Q_i(hi) = 1 / omega_{n-1} for the unit-mass density, for every i
+        dens = default_shell_density(n)
+        Q, q_inf, _ = _charge_function(n, dens, i)
+        expected = 1.0 / unit_sphere_area(n)
+        assert q_inf == pytest.approx(expected, rel=1e-13)
+        np.testing.assert_allclose(Q(i * np.array([1.0, 2.0, 50.0])), expected, rtol=1e-13)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afmass.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, afmass.cli; "
+         "print(sorted(m for m, mod in sys.modules.items()"
+         " if m.split('.')[0] == 'scipy' and mod is not None))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"
