@@ -324,7 +324,7 @@ def run(cfg):
             written.append(path)
     except ConfigInvalid:
         raise
-    except (GeometryError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+    except (GeometryError, ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
         error_doc = {"error": type(exc).__name__, "message": str(exc)}
         path = os.path.join(cfg.out_dir, "error.json")
         write_json_report(path, error_doc, config=cfg.echo())

@@ -272,7 +272,6 @@ class Cone2DFamily(Family):
         self.surface = surface
         self.n = 2
         self.inner_radius = inner_radius
-        self.decay_order = 1.0
         self.flux_decay_order = 1.0
         self.mass_hint = 1.0 - surface.alpha
 

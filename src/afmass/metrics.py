@@ -4,14 +4,13 @@ Each metric family evaluates the matrix g_ij(x) and, where closed forms
 exist, its first and second coordinate derivatives, batched over points.
 Specs are immutable; evaluation is pure.
 
-Conformally flat families g = U^{4/(n-2)} delta are the workhorse: the
-Schwarzschild metric uses U = 1 + m/(2 r^{n-2}), harmonically flat metrics
-use a harmonic U -> 1, and the matter-shell sequence supplies U = 1 + v_i
-from a solved radial potential.
+Conformally flat metrics g = U^{4/(n-2)} delta are the workhorse, all of
+them one ConformalFamily: the Schwarzschild metric uses U = 1 + m/(2 r^{n-2}),
+harmonically flat metrics use a harmonic U -> 1, and the matter-shell
+sequence supplies U = 1 + v_i from a solved radial potential.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,8 @@ __all__ = [
     "PointwiseCurvature",
     "RadialProfile",
     "ScalarField",
+    "RadialField",
+    "ConformalFamily",
     "harmonic_dipole_field",
     "scalar_curvature_at",
     "euclidean",
@@ -111,19 +112,9 @@ class RadialProfile:
             )
         return u
 
-    def scaled(self, factor):
-        """Profile of factor * U (used by homothety wrappers)."""
-        return RadialProfile(
-            lambda r: factor * self.u(r),
-            lambda r: factor * self.du(r),
-            lambda r: factor * self.d2u(r),
-            tail_coefficient=None,
-            name=f"scaled({self.name})",
-        )
 
-
-def _power_profile(a, n, shift=0.0):
-    """U(r) = 1 + shift-free power tail: 1 + a / r^{n-2}."""
+def _power_profile(a, n):
+    """U(r) = 1 + a / r^{n-2}."""
     p = n - 2
 
     def u(r):
@@ -149,6 +140,36 @@ class ScalarField:
         self.grad = grad
         self.hess = hess
         self.name = name
+
+    def jet(self, x, order):
+        """[U, grad U, Hess U][:order + 1] at the points x."""
+        return [f(x) for f in (self.value, self.grad, self.hess)[:order + 1]]
+
+
+class RadialField:
+    """The field x -> U(|x|) of a RadialProfile, by the chain rule:
+    grad U = u'(r) nu and Hess U = u'' nu nu + (u'/r)(I - nu nu), nu = x/r.
+
+    Its jet, as ScalarField.jet, evaluates u, u' and u'' once each."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.name = profile.name
+
+    def jet(self, x, order):
+        r = np.linalg.norm(x, axis=1)
+        out = [self.profile.u(r)]
+        if order >= 1:
+            nu = x / r[:, None]
+            du = self.profile.du(r)
+            out.append(du[:, None] * nu)
+        if order == 2:
+            nn = np.einsum("nk,nl->nkl", nu, nu)
+            out.append(
+                self.profile.d2u(r)[:, None, None] * nn
+                + (du / r)[:, None, None] * (np.eye(x.shape[1])[None] - nn)
+            )
+        return out
 
 
 def harmonic_dipole_field(n, a, b):
@@ -201,15 +222,14 @@ class Family:
     name = "abstract"
     rotationally_symmetric = False
     has_analytic_derivatives = False
-    #: decay order tau of g - delta
-    decay_order = 1.0
     #: decay exponent p of the ADM flux residual, used by extrapolation fits
     flux_decay_order = None
     #: analytic ADM mass when the family knows it
     mass_hint = None
-    #: scalar curvature vanishes identically (or outside a compact set)
-    scalar_flat = False
+    #: radius of the excluded ball |x| <= inner_radius about the chart origin
     inner_radius = 0.0
+    #: the origin is excluded even when inner_radius is 0
+    excludes_origin = False
     #: breakpoints of radial structure (e.g. matter support), for quadrature
     radial_breakpoints = ()
     #: conformal radial profile U, when the family is of the form U^{4/(n-2)} delta
@@ -224,18 +244,17 @@ class Family:
     def d2metric(self, x):
         raise NotImplementedError
 
-    def check_points(self, x):
-        if self.inner_radius > 0.0:
-            r = np.linalg.norm(x, axis=1)
-            if np.any(r <= self.inner_radius):
-                raise SingularPoint(
-                    f"{self.name}: point inside excluded radius {self.inner_radius}"
-                )
-        else:
-            if np.any(np.all(x == 0.0, axis=1)) and self.excludes_origin:
-                raise SingularPoint(f"{self.name}: chart excludes the origin")
+    def clearance(self, x):
+        """Distance |x| - inner_radius of the points x (N, n) from the
+        excluded region (inf where the chart excludes nothing); a point is
+        valid where it is > 0."""
+        if self.inner_radius > 0.0 or self.excludes_origin:
+            return np.linalg.norm(x, axis=1) - self.inner_radius
+        return np.full(x.shape[0], np.inf)
 
-    excludes_origin = False
+    def check_points(self, x):
+        if np.any(self.clearance(x) <= 0.0):
+            raise SingularPoint(f"{self.name}: point in the excluded chart region")
 
     def params_json(self):
         raise NotImplementedError(f"{self.name} is not serializable")
@@ -245,10 +264,8 @@ class Euclidean(Family):
     name = "Euclidean"
     rotationally_symmetric = True
     has_analytic_derivatives = True
-    decay_order = math.inf
     flux_decay_order = 1.0
     mass_hint = 0.0
-    scalar_flat = True
 
     def __init__(self, n):
         self.n = n
@@ -276,162 +293,74 @@ class Euclidean(Family):
         return {}
 
 
-class RadialConformal(Family):
-    """g = U(r)^{4/(n-2)} delta for a radial profile U."""
+class ConformalFamily(Family):
+    """g = U^{4/(n-2)} delta for a conformal factor U > 0 (n >= 3).
+
+    `factor` is a ScalarField, or a RadialProfile, which is lifted to a
+    RadialField and kept as `radial_profile` (the closed sphere forms key
+    on it); a radial family is rotationally symmetric, its flux residual
+    decays like r^{2-n} and its mass is 2a from the profile's tail.  `name`
+    and `params` are the JSON identity; without params the family is not
+    serializable.
+    """
 
     has_analytic_derivatives = True
-    rotationally_symmetric = True
     excludes_origin = True
 
-    def __init__(self, n, profile, name="ConformallyFlat", inner_radius=0.0,
-                 decay_order=None, flux_decay_order=None, mass_hint=None,
-                 scalar_flat=False, radial_breakpoints=()):
+    def __init__(self, n, factor, name="ConformallyFlat", params=None,
+                 inner_radius=0.0, flux_decay_order=None, mass_hint=None,
+                 radial_breakpoints=()):
         self.n = n
-        self.profile = profile
         self.name = name
+        self.params = params
         self.inner_radius = inner_radius
-        self.decay_order = n - 2 if decay_order is None else decay_order
-        self.flux_decay_order = (
-            float(n - 2) if flux_decay_order is None else flux_decay_order
-        )
-        if mass_hint is None and profile.tail_coefficient is not None:
-            mass_hint = 2.0 * profile.tail_coefficient
-        self.mass_hint = mass_hint
-        self.scalar_flat = scalar_flat
         self.radial_breakpoints = tuple(radial_breakpoints)
-
-    @property
-    def radial_profile(self):
-        return self.profile
-
-    def _factor(self, r):
-        u = self.profile.positive_u(r)
-        return u, u ** (4.0 / (self.n - 2))
-
-    def metric(self, x):
-        r = np.linalg.norm(x, axis=1)
-        _, F = self._factor(r)
-        return F[:, None, None] * np.eye(self.n)[None]
-
-    def _dF(self, r):
-        n = self.n
-        u, F = self._factor(r)
-        du = self.profile.du(r)
-        e = 4.0 / (n - 2)
-        dF = e * u ** (e - 1.0) * du
-        return u, F, du, dF
-
-    def dmetric(self, x):
-        n = self.n
-        r = np.linalg.norm(x, axis=1)
-        _, _, _, dF = self._dF(r)
-        nu = x / r[:, None]
-        return np.einsum("nk,ij->nkij", dF[:, None] * nu, np.eye(n))
-
-    def d2metric(self, x):
-        n = self.n
-        r = np.linalg.norm(x, axis=1)
-        u, F, du, dF = self._dF(r)
-        e = 4.0 / (n - 2)
-        d2u = self.profile.d2u(r)
-        d2F = e * ((e - 1.0) * u ** (e - 2.0) * du ** 2 + u ** (e - 1.0) * d2u)
-        nu = x / r[:, None]
-        nn = np.einsum("nk,nl->nkl", nu, nu)
-        radial_hess = (
-            d2F[:, None, None] * nn
-            + (dF / r)[:, None, None] * (np.eye(n)[None] - nn)
-        )
-        return np.einsum("nkl,ij->nklij", radial_hess, np.eye(n))
-
-    def params_json(self):
-        raise NotImplementedError("generic conformal factor is not serializable")
-
-
-class SchwarzschildFamily(RadialConformal):
-    name = "Schwarzschild"
-
-    def __init__(self, n, m, inner_radius=0.0):
-        self.m = m
-        super().__init__(
-            n,
-            _power_profile(m / 2.0, n),
-            name="Schwarzschild",
-            inner_radius=inner_radius,
-            mass_hint=float(m),
-            scalar_flat=True,
-        )
-
-    def params_json(self):
-        out = {"m": self.m}
-        if self.inner_radius:
-            out["inner_radius"] = self.inner_radius
-        return out
-
-
-class HarmonicallyFlatFamily(RadialConformal):
-    name = "HarmonicallyFlat"
-
-    def __init__(self, n, a, inner_radius=0.0):
-        self.a = a
-        super().__init__(
-            n,
-            _power_profile(a, n),
-            name="HarmonicallyFlat",
-            inner_radius=inner_radius,
-            mass_hint=2.0 * a,
-            scalar_flat=True,
-        )
-
-    def params_json(self):
-        return {"a": self.a}
-
-
-class ConformalField(Family):
-    """g = U(x)^{4/(n-2)} delta for a general scalar field U (with grad/hess)."""
-
-    has_analytic_derivatives = True
-    excludes_origin = True
-    name = "ConformallyFlat"
-
-    def __init__(self, n, u_field, decay_order=None, flux_decay_order=1.0,
-                 mass_hint=None, inner_radius=0.0):
-        self.n = n
-        self.u_field = u_field
-        self.decay_order = n - 2 if decay_order is None else decay_order
-        self.flux_decay_order = flux_decay_order
+        if isinstance(factor, RadialProfile):
+            self.radial_profile = factor
+            self.rotationally_symmetric = True
+            if flux_decay_order is None:
+                flux_decay_order = float(n - 2)
+            if mass_hint is None and factor.tail_coefficient is not None:
+                mass_hint = 2.0 * factor.tail_coefficient
+            factor = RadialField(factor)
+        self.field = factor
+        self.flux_decay_order = 1.0 if flux_decay_order is None else flux_decay_order
         self.mass_hint = mass_hint
-        self.inner_radius = inner_radius
 
-    def _uF(self, x):
-        u = self.u_field.value(x)
+    def _jet(self, x, order):
+        jet = self.field.jet(x, order)
+        u = jet[0]
         if np.any(u <= 0.0):
-            raise NonPositiveConformalFactor("conformal factor U <= 0")
-        return u, u ** (4.0 / (self.n - 2))
+            raise NonPositiveConformalFactor(
+                f"{self.name}: conformal factor U <= 0 at {x[u <= 0.0][:3]}"
+                f" (factor {self.field.name})"
+            )
+        return jet
 
     def metric(self, x):
-        _, F = self._uF(x)
-        return F[:, None, None] * np.eye(self.n)[None]
+        (u,) = self._jet(x, 0)
+        return (u ** (4.0 / (self.n - 2)))[:, None, None] * np.eye(self.n)[None]
 
     def dmetric(self, x):
-        n = self.n
-        e = 4.0 / (n - 2)
-        u, _ = self._uF(x)
-        du = self.u_field.grad(x)
+        e = 4.0 / (self.n - 2)
+        u, du = self._jet(x, 1)
         dF = e * (u ** (e - 1.0))[:, None] * du
-        return np.einsum("nk,ij->nkij", dF, np.eye(n))
+        return np.einsum("nk,ij->nkij", dF, np.eye(self.n))
 
     def d2metric(self, x):
-        n = self.n
-        e = 4.0 / (n - 2)
-        u, _ = self._uF(x)
-        du = self.u_field.grad(x)
-        d2u = self.u_field.hess(x)
+        e = 4.0 / (self.n - 2)
+        u, du, d2u = self._jet(x, 2)
         d2F = e * (
             (e - 1.0) * (u ** (e - 2.0))[:, None, None]
             * np.einsum("nk,nl->nkl", du, du)
             + (u ** (e - 1.0))[:, None, None] * d2u
         )
-        return np.einsum("nkl,ij->nklij", d2F, np.eye(n))
+        return np.einsum("nkl,ij->nklij", d2F, np.eye(self.n))
+
+    def params_json(self):
+        if self.params is None:
+            return super().params_json()
+        return dict(self.params)
 
 
 class AsymptoticallySchwarzschildFamily(Family):
@@ -451,7 +380,7 @@ class AsymptoticallySchwarzschildFamily(Family):
         self.n = n
         self.m = m
         self.c = c
-        self.base = SchwarzschildFamily(n, m, inner_radius=inner_radius)
+        self.base = schwarzschild(n, m, inner_radius=inner_radius).family
         if direction is None:
             B = np.zeros((n, n))
             B[0, 0] = 1.0
@@ -459,7 +388,6 @@ class AsymptoticallySchwarzschildFamily(Family):
             B = np.asarray(direction, dtype=float)
             B = 0.5 * (B + B.T)
         self.B = B
-        self.decay_order = n - 2
         self.flux_decay_order = 1.0
         self.mass_hint = float(m)
         self.inner_radius = inner_radius
@@ -515,9 +443,7 @@ class ScaledFamily(Family):
         self.n = b.n
         self.rotationally_symmetric = b.rotationally_symmetric
         self.has_analytic_derivatives = b.has_analytic_derivatives
-        self.decay_order = b.decay_order
         self.flux_decay_order = b.flux_decay_order
-        self.scalar_flat = b.scalar_flat
         self.inner_radius = self.lam * b.inner_radius
         self.excludes_origin = b.excludes_origin
         self.radial_breakpoints = tuple(
@@ -553,8 +479,8 @@ class ScaledFamily(Family):
     def d2metric(self, x):
         return self.base_spec.family.d2metric(x / self.lam) / self.lam ** 2
 
-    def check_points(self, x):
-        self.base_spec.family.check_points(x / self.lam)
+    def clearance(self, x):
+        return self.lam * self.base_spec.family.clearance(x / self.lam)
 
     def params_json(self):
         return {"base": metric_to_json(self.base_spec), "lambda": self.lam}
@@ -574,9 +500,7 @@ class TranslatedFamily(Family):
             raise ValueError("offset dimension mismatch")
         self.rotationally_symmetric = False
         self.has_analytic_derivatives = b.has_analytic_derivatives
-        self.decay_order = b.decay_order
         self.flux_decay_order = b.flux_decay_order
-        self.scalar_flat = b.scalar_flat
         self.mass_hint = b.mass_hint
 
     def metric(self, x):
@@ -588,8 +512,8 @@ class TranslatedFamily(Family):
     def d2metric(self, x):
         return self.base_spec.family.d2metric(x + self.offset)
 
-    def check_points(self, x):
-        self.base_spec.family.check_points(x + self.offset)
+    def clearance(self, x):
+        return self.base_spec.family.clearance(x + self.offset)
 
     def params_json(self):
         return {
@@ -641,26 +565,28 @@ def euclidean(n, **kw):
 
 
 def schwarzschild(n, m, inner_radius=0.0, **kw):
-    return MetricSpec(SchwarzschildFamily(n, m, inner_radius=inner_radius), **kw)
+    """U = 1 + m / (2 r^{n-2}): mass m, scalar flat."""
+    params = {"m": m, **({"inner_radius": inner_radius} if inner_radius else {})}
+    return MetricSpec(ConformalFamily(
+        n, _power_profile(m / 2.0, n), "Schwarzschild", params,
+        inner_radius=inner_radius,
+    ), **kw)
 
 
 def harmonically_flat(n, a, **kw):
-    return MetricSpec(HarmonicallyFlatFamily(n, a), **kw)
+    """U = 1 + a r^{2-n}: mass 2a, scalar flat."""
+    return MetricSpec(
+        ConformalFamily(n, _power_profile(a, n), "HarmonicallyFlat", {"a": a}), **kw
+    )
 
 
-def conformally_flat(n, u_field, mass_hint=None, flux_decay_order=1.0,
+def conformally_flat(n, u_field, mass_hint=None, flux_decay_order=None,
                      inner_radius=0.0, **kw):
     """Conformal metric from a RadialProfile or a ScalarField."""
-    if isinstance(u_field, RadialProfile):
-        return MetricSpec(
-            RadialConformal(n, u_field, mass_hint=mass_hint,
-                            inner_radius=inner_radius), **kw
-        )
-    return MetricSpec(
-        ConformalField(n, u_field, mass_hint=mass_hint,
-                       flux_decay_order=flux_decay_order,
-                       inner_radius=inner_radius), **kw
-    )
+    return MetricSpec(ConformalFamily(
+        n, u_field, inner_radius=inner_radius,
+        flux_decay_order=flux_decay_order, mass_hint=mass_hint,
+    ), **kw)
 
 
 def asymptotically_schwarzschild(n, m, c=0.1, direction=None, **kw):
@@ -733,13 +659,10 @@ def metric_derivatives_at(spec, x, order=2):
 
 
 def _check_stencil(spec, pts, reach):
-    inner = spec.family.inner_radius
-    if inner > 0.0 or spec.family.excludes_origin:
-        r = np.linalg.norm(pts, axis=1)
-        if np.any(r - reach <= inner):
-            raise StepTooLarge(
-                "finite-difference stencil exits the valid chart region"
-            )
+    if np.any(spec.family.clearance(pts) <= reach):
+        raise StepTooLarge(
+            "finite-difference stencil exits the valid chart region"
+        )
 
 
 def curvature_at(spec, x):

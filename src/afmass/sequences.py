@@ -75,10 +75,8 @@ def window_grid(n, half_width=1.0, q=4):
 
 
 def _check_window(spec, pts):
-    r = np.linalg.norm(pts, axis=1)
-    inner = spec.family.inner_radius
-    guard = max(inner, 1e-8 if spec.family.excludes_origin else 0.0)
-    if guard > 0.0 and np.any(r <= guard):
+    # a node within 1e-8 of the excluded region counts as inside it
+    if np.any(spec.family.clearance(pts) <= 1e-8):
         raise WindowExitsChart(
             "window grid reaches inside the excluded chart region"
         )

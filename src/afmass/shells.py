@@ -24,10 +24,10 @@ import numpy as np
 
 from .geometry import unit_sphere_area
 from .metrics import (
+    ConformalFamily,
     GeometryError,
     MetricSpec,
     NonPositiveConformalFactor,
-    RadialConformal,
     RadialProfile,
 )
 
@@ -182,17 +182,10 @@ def shell_metric(n, i, density=None, radial_q=80, **kw):
     if density is None:
         density = default_shell_density(n)
     profile = solve_shell_potential(n, i, density=density, radial_q=radial_q)
-    fam = RadialConformal(
-        n,
-        profile,
-        name="ShellConformal",
+    return MetricSpec(ConformalFamily(
+        n, profile, "ShellConformal", {"i": i},
         radial_breakpoints=(i * density.lo, i * density.hi),
-        mass_hint=2.0 * profile.tail_coefficient,
-        flux_decay_order=n - 2,
-    )
-    fam.shell_index = i
-    fam.params_json = lambda: {"i": i}
-    return MetricSpec(fam, **kw)
+    ), **kw)
 
 
 def shell_matter_coupling(n, i, density=None, radial_q=96):

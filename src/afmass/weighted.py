@@ -20,14 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import scalar_curvature
 from .geometry import SphereQuadrature
 from .mass import adm_flux, extrapolate, flux_constant
-from .metrics import (
-    GeometryError,
-    metric_at,
-    metric_derivatives_at,
-    scalar_curvature_at,
-)
+from .metrics import GeometryError, metric_at, metric_derivatives_at
 
 __all__ = [
     "TailNotNegligible",
@@ -89,17 +85,21 @@ def weighted_seminorm(spec, params, reference=None):
             np.eye(n)[None] if reference is None else metric_at(reference, x)
         )
         worst = max(worst, _weighted_max(r ** params.tau, diff))
-        if params.k >= 1:
-            dg = metric_derivatives_at(spec, x, order=1)
-            if reference is not None:
-                dg = dg - metric_derivatives_at(reference, x, order=1)
-            worst = max(worst, _weighted_max(r ** (params.tau + 1), dg))
-        if params.k >= 2:
-            _, d2g = metric_derivatives_at(spec, x, order=2)
-            if reference is not None:
-                d2g = d2g - metric_derivatives_at(reference, x, order=2)[1]
-            worst = max(worst, _weighted_max(r ** (params.tau + 2), d2g))
+        derivs = _derivatives(spec, x, params.k)
+        if reference is not None:
+            ref = _derivatives(reference, x, params.k)
+            derivs = [d - e for d, e in zip(derivs, ref)]
+        for order, d in enumerate(derivs, start=1):
+            worst = max(worst, _weighted_max(r ** (params.tau + order), d))
     return worst
+
+
+def _derivatives(spec, x, k):
+    """[dg, ..., d^k g] at x for k <= 2, from one metric_derivatives_at call."""
+    if k == 0:
+        return []
+    d = metric_derivatives_at(spec, x, order=k)
+    return [d] if k == 1 else list(d)
 
 
 def _weighted_max(weight, values):
@@ -175,8 +175,8 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64,
 
 def _scalar_density(spec, pts):
     g = metric_at(spec, pts)
-    R = scalar_curvature_at(spec, pts)
-    return R * np.sqrt(np.linalg.det(g))
+    dg, d2g = metric_derivatives_at(spec, pts, order=2)
+    return scalar_curvature(g, dg, d2g) * np.sqrt(np.linalg.det(g))
 
 
 def matter_integral(spec, inner, outer, q=16, radial_q=96):

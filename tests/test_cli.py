@@ -158,6 +158,21 @@ class TestComputationFailure:
         err = load_strict(out / "error.json")["result"]
         assert err["error"] == "NonPositiveConformalFactor"
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    def test_overflow_exit_1(self, tmp_path):
+        # the closed-form area U^4 r^2 overflows a float at r = 1e-300
+        cfg = write_config(tmp_path, {
+            "command": "fg-profile",
+            "spec": SCHWARZSCHILD_N3,
+            "radii": [1e-300],
+            "q": 4,
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["error.json"]
+        assert load_strict(out / "error.json")["result"]["error"] == "OverflowError"
+
     def test_nan_result_exit_1(self, tmp_path):
         # m = 1e400 parses as inf; the flux of that metric is NaN
         path = tmp_path / "config.json"

@@ -73,6 +73,18 @@ class TestDerivativeModes:
         with pytest.raises(StepTooLarge):
             metric_derivatives_at(spec, np.array([1.2, 0.0, 0.0]), order=1)
 
+    def test_stencil_guard_translated(self):
+        # the translated chart keeps the base's excluded ball, moved by -offset
+        base = schwarzschild(3, 1.0, inner_radius=1.0, derivative_mode="fd",
+                             fd_step=0.5)
+        offset = np.array([5.0, 0.0, 0.0])
+        spec = translated(base, offset)
+        with pytest.raises(StepTooLarge):
+            metric_derivatives_at(spec, np.array([1.2, 0.0, 0.0]) - offset,
+                                  order=1)
+        with pytest.raises(SingularPoint):
+            metric_at(spec, np.array([0.5, 0.0, 0.0]) - offset)
+
 
 class TestPointChecks:
     def test_singular_origin(self):
@@ -81,12 +93,7 @@ class TestPointChecks:
             metric_at(spec, np.zeros(3))
 
     def test_non_positive_conformal_factor(self):
-        from afmass.metrics import (
-            MetricSpec,
-            NonPositiveConformalFactor,
-            RadialConformal,
-            RadialProfile,
-        )
+        from afmass.metrics import NonPositiveConformalFactor, RadialProfile
 
         prof = RadialProfile(
             u=lambda r: 1.0 - 2.0 / r,
@@ -94,7 +101,7 @@ class TestPointChecks:
             d2u=lambda r: -4.0 / r ** 3,
             tail_coefficient=-2.0,
         )
-        spec = MetricSpec(RadialConformal(3, prof))
+        spec = conformally_flat(3, prof)
         with pytest.raises(NonPositiveConformalFactor):
             metric_at(spec, np.array([1.0, 0.0, 0.0]))
 

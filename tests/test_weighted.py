@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from afmass import weighted
+from afmass.geometry import SphereQuadrature
 from afmass.mass import adm_mass
 from afmass.metrics import (
     asymptotically_schwarzschild,
     euclidean,
+    metric_at,
+    metric_derivatives_at,
+    scalar_curvature_at,
     schwarzschild,
 )
 from afmass.weighted import (
@@ -107,6 +112,67 @@ class TestMatterDefect:
     def test_defect_report_arithmetic(self):
         rep = DefectReport(mass=2.0, matter=0.5)
         assert rep.defect == 1.5
+
+
+def _count_evaluations(monkeypatch, spec):
+    """Count the calls of spec's metric, dmetric and d2metric."""
+    calls = {"metric": 0, "dmetric": 0, "d2metric": 0}
+    for name in calls:
+        def counting(x, fn=getattr(spec.family, name), name=name):
+            calls[name] += 1
+            return fn(x)
+        monkeypatch.setattr(spec.family, name, counting)
+    return calls
+
+
+def _seminorm_oracle(spec, params, reference):
+    """The k = 2 seminorm with each derivative order from its own call."""
+    n = spec.n
+    worst = 0.0
+    for x, _ in SphereQuadrature(n, params.angular_q).sample(
+        params.radii(), False, n ** 4
+    ):
+        r = np.linalg.norm(x, axis=1)
+        terms = [
+            metric_at(spec, x) - metric_at(reference, x),
+            metric_derivatives_at(spec, x, order=1)
+            - metric_derivatives_at(reference, x, order=1),
+            metric_derivatives_at(spec, x, order=2)[1]
+            - metric_derivatives_at(reference, x, order=2)[1],
+        ]
+        for k, t in enumerate(terms):
+            sup = np.abs(t).reshape(len(r), -1).max(axis=1)
+            worst = max(worst, float((r ** (params.tau + k) * sup).max()))
+    return worst
+
+
+class TestOneEvaluationPerBlock:
+    def test_seminorm_differentiates_once(self, monkeypatch):
+        spec = asymptotically_schwarzschild(3, 1.0, c=0.3)
+        reference = schwarzschild(3, 1.0)
+        params = WeightedNormParams(tau=2.0, k=2, r_max=10.0,
+                                    radii_per_decade=4, angular_q=4)
+        expected = _seminorm_oracle(spec, params, reference)
+        counts = [_count_evaluations(monkeypatch, s) for s in (spec, reference)]
+        assert weighted_seminorm(spec, params, reference) == pytest.approx(
+            expected, rel=1e-15
+        )
+        for c in counts:
+            assert c["metric"] > 0
+            assert c["dmetric"] == c["d2metric"] == c["metric"]
+
+    def test_scalar_density_evaluates_the_metric_once(self, monkeypatch):
+        spec = asymptotically_schwarzschild(3, 1.0, c=0.3)
+        x = np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]])
+        expected = scalar_curvature_at(spec, x) * np.sqrt(
+            np.linalg.det(metric_at(spec, x))
+        )
+        assert np.allclose(weighted._scalar_density(spec, x), expected,
+                           rtol=1e-15, atol=0.0)
+        calls = _count_evaluations(monkeypatch, spec)
+        matter_integral(spec, 2.0, 4.0, q=4, radial_q=8)
+        assert calls["metric"] > 0
+        assert calls["dmetric"] == calls["d2metric"] == calls["metric"]
 
 
 def test_radial_panels_split_at_breakpoints():
