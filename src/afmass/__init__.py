@@ -2,9 +2,9 @@
 
 Library layout:
 
-* ``metrics``    metric families, derivatives, curvature at points
+* ``metrics``    metric families and their derivatives at points
 * ``geometry``   spherical charts and quadrature
-* ``curvature``  coordinate curvature formulas and FD stencils
+* ``curvature``  coordinate curvature (``scalar_curvature``) and FD stencils
 * ``spheres``    area / mean curvature / induced curvature of spheres
 * ``mass``       flux-integral mass and the quasi-local functional fg
 * ``weighted``   weighted norms, divergence-form mass, matter defects
@@ -25,6 +25,7 @@ from .cone import (
     perturbed_cone,
     total_gauss_curvature,
 )
+from .curvature import scalar_curvature
 from .geometry import SphereQuadrature, unit_sphere_area
 from .mass import (
     MassEstimate,
@@ -45,7 +46,6 @@ from .metrics import (
     StepTooLarge,
     asymptotically_schwarzschild,
     conformally_flat,
-    curvature_at,
     euclidean,
     harmonic_dipole_field,
     harmonically_flat,
@@ -53,7 +53,6 @@ from .metrics import (
     metric_derivatives_at,
     metric_from_json,
     metric_to_json,
-    scalar_curvature_at,
     scaled,
     schwarzschild,
     translated,

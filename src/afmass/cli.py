@@ -79,6 +79,8 @@ class RunConfig:
         # computation starts
         if raw.get("radii") is not None:
             self.radii()
+        if "spec" in raw:
+            _check_spec(raw["spec"])
         if command == "cone-angle":
             self.surface()
 
@@ -90,11 +92,8 @@ class RunConfig:
     def spec(self):
         if "spec" not in self.raw:
             raise ConfigInvalid("config needs a 'spec' metric document")
-        doc = self.raw["spec"]
-        if isinstance(doc, dict):
-            _dimension(doc.get("n"))
         try:
-            return metric_from_json(doc)
+            return metric_from_json(self.raw["spec"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigInvalid(f"invalid metric spec: {exc}") from exc
 
@@ -183,6 +182,35 @@ def _dimension(value):
     if not 3 <= n <= 7:
         raise ConfigInvalid(f"dimension n must lie in 3..7, got {n}")
     return n
+
+
+def _check_spec(doc, n=None):
+    """Check a metric spec document before anything is built: its dimension
+    (a nested base's must equal its wrapper's n), a positive fd_step and
+    numeric params."""
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"metric spec must be an object, got {doc!r}")
+    dim = _dimension(doc.get("n"))
+    if n is not None and dim != n:
+        raise ConfigInvalid(f"base spec has n = {dim} inside a spec with n = {n}")
+    if doc.get("fd_step") is not None and _real(doc["fd_step"], "fd_step") <= 0.0:
+        raise ConfigInvalid(f"fd_step must be positive, got {doc['fd_step']!r}")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigInvalid(f"spec params must be an object, got {params!r}")
+    for key, value in params.items():
+        if key == "base":
+            _check_spec(value, dim)
+        elif key == "offset":
+            for v in _list(value, "offset"):
+                _real(v, "offset entry")
+        elif key == "i":
+            if _integer(value, "shell index i") < 1:
+                raise ConfigInvalid(f"shell index i must be >= 1, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            # an overflowing literal such as 1e400 is a number: the
+            # computation fails on it (exit 1)
+            raise ConfigInvalid(f"parameter {key!r} must be a number, got {value!r}")
 
 
 def _reject_constant(name):

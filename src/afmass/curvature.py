@@ -3,6 +3,8 @@
 All routines are batched: metric arrays have shape (N, d, d), first
 derivatives (N, d, d, d) with dg[:, k, i, j] = d_k g_ij, and second
 derivatives (N, d, d, d, d) with d2g[:, k, l, i, j] = d_k d_l g_ij.
+scalar_curvature is the one entry point for R; metrics.metric_at and
+metrics.metric_derivatives_at supply its arguments.
 """
 
 import numpy as np
@@ -15,53 +17,60 @@ __all__ = [
 ]
 
 
+def _lowered_christoffel(dg):
+    """Gamma_lij = 0.5 (d_i g_lj + d_j g_il - d_l g_ij), indexed [.., l, i, j]."""
+    return 0.5 * (np.einsum("nilj->nlij", dg) + np.einsum("njil->nlij", dg) - dg)
+
+
+def _raise_first(ginv, t):
+    """g^{kl} t_l... : raise the first index of the batched tensor t."""
+    N, d = ginv.shape[:2]
+    return (ginv @ t.reshape(N, d, -1)).reshape(t.shape)
+
+
 def christoffel(ginv, dg):
-    """Christoffel symbols Gamma^k_ij = 0.5 g^{kl}(d_i g_lj + d_j g_il - d_l g_ij).
+    """Christoffel symbols Gamma^k_ij = g^{kl} Gamma_lij.
 
     Returns (N, d, d, d) indexed [.., k, i, j].
     """
-    bracket = (
-        np.einsum("nilj->nlij", dg)
-        + np.einsum("njil->nlij", dg)
-        - np.einsum("nlij->nlij", dg)
-    )
-    return 0.5 * np.einsum("nkl,nlij->nkij", ginv, bracket)
+    return _raise_first(ginv, _lowered_christoffel(dg))
 
 
 def ricci_tensor(g, dg, d2g):
-    """Ricci tensor from the coordinate formula.
+    """Ricci tensor R_jk = d_i Gamma^i_jk - d_j Gamma^i_ik
+    + Gamma^i_ip Gamma^p_jk - Gamma^i_kp Gamma^p_ij.
 
-    R_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_ip Gamma^p_jk
-           - Gamma^i_kp Gamma^p_ij.
+    With M_j = g^{-1} d_j g, Gamma^i_ik = d_k log sqrt(det g) = tr M_k / 2
+    and d_i g^{il} = -(g^{-1} w)^l, w_a = sum_i (M_i)^i_a, this is
+
+        R_jk = 0.5 g^{il} (d_i d_j g_lk + d_i d_k g_lj - d_i d_l g_jk)
+               - 0.5 g^{ab} d_j d_k g_ab + 0.5 tr(M_j M_k)
+               + u^l Gamma_ljk - Gamma^i_kp Gamma^p_ij
+
+    with u = g^{-1}(tr M / 2 - w).  g^{-1} is contracted into d2g directly,
+    so no other array of d2g's size is built.
     """
+    N, d = g.shape[:2]
     ginv = np.linalg.inv(g)
-    gamma = christoffel(ginv, dg)
-    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-    dginv = -np.einsum("nka,nmab,nbl->nmkl", ginv, dg, ginv)
-    # d_m Gamma^k_ij
-    bracket = (
-        np.einsum("nmilj->nmlij", d2g)
-        + np.einsum("nmjil->nmlij", d2g)
-        - np.einsum("nmlij->nmlij", d2g)
+    low = _lowered_christoffel(dg)
+    gamma = _raise_first(ginv, low)
+    m = ginv[:, None] @ dg
+    vec = ginv.reshape(N, 1, d * d)
+    d2 = d2g.reshape(N, d * d, d * d)
+    # g^{il} d_j d_i g_lk (d_i d_j = d_j d_i), g^{il} d_i d_l g_jk, g^{ab} d_j d_k g_ab
+    p = (vec[:, None] @ d2g.reshape(N, d, d * d, d))[:, :, 0]
+    laplace = (vec @ d2).reshape(N, d, d)
+    hess_log_det = (d2 @ vec.transpose(0, 2, 1)).reshape(N, d, d)
+    u = ginv @ (0.5 * np.einsum("npaa->np", m) - np.einsum("niia->na", m))[:, :, None]
+    # t[k, (i, p)] = Gamma^i_kp, and t read as [(i, p), j] is Gamma^p_ij
+    t = np.swapaxes(gamma, 1, 2).reshape(N, d, d * d)
+    ric = (
+        0.5 * (p + np.swapaxes(p, 1, 2) - laplace - hess_log_det)
+        + 0.5 * np.einsum("njad,nkda->njk", m, m)
+        + (np.swapaxes(u, 1, 2) @ low.reshape(N, d, d * d)).reshape(N, d, d)
+        - t @ t.reshape(N, d * d, d)
     )
-    dgamma = 0.5 * (
-        np.einsum("nmkl,nlij->nmkij", dginv, 2.0 * _sym_bracket(dg))
-        + np.einsum("nkl,nmlij->nmkij", ginv, bracket)
-    )
-    term1 = np.einsum("niijk->njk", dgamma)
-    term2 = np.einsum("njiik->njk", dgamma)
-    term3 = np.einsum("niip,npjk->njk", gamma, gamma)
-    term4 = np.einsum("nikp,npij->njk", gamma, gamma)
-    ric = term1 - term2 + term3 - term4
     return 0.5 * (ric + np.swapaxes(ric, -1, -2))
-
-
-def _sym_bracket(dg):
-    return 0.5 * (
-        np.einsum("nilj->nlij", dg)
-        + np.einsum("njil->nlij", dg)
-        - np.einsum("nlij->nlij", dg)
-    )
 
 
 def scalar_curvature(g, dg, d2g):

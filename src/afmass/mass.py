@@ -144,6 +144,13 @@ def default_mass_radii(base_radius, count=4):
     return tuple(base_radius * 2.0 ** k for k in range(count))
 
 
+def _support_radius(spec):
+    """2 max(radial breakpoints, inner radius): default sample radii start at
+    or past it, clear of the family's matter support and excluded ball."""
+    family = spec.family
+    return 2.0 * max((family.inner_radius, *family.radial_breakpoints))
+
+
 def _decay_exponent(spec):
     p = spec.n - 2
     fam_p = getattr(spec.family, "flux_decay_order", None)
@@ -153,9 +160,14 @@ def _decay_exponent(spec):
 
 
 def adm_mass(spec, radii=None, q=32, p=None):
-    """Total mass: flux at several radii, extrapolated to r = infinity."""
+    """Total mass: flux at several radii, extrapolated to r = infinity.
+
+    The default ladder starts at or past twice the family's radial
+    breakpoints and inner radius."""
     if radii is None:
-        radii = default_mass_radii(50.0 * 2.0 ** max(0, 5 - spec.n))
+        radii = default_mass_radii(
+            max(50.0 * 2.0 ** max(0, 5 - spec.n), _support_radius(spec))
+        )
     if p is None:
         p = _decay_exponent(spec)
     return extrapolate(radii, [adm_flux(spec, r, q=q) for r in radii], p)

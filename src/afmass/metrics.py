@@ -1,7 +1,8 @@
 """Asymptotically flat metrics in a single coordinate chart.
 
 Each metric family evaluates the matrix g_ij(x) and, where closed forms
-exist, its first and second coordinate derivatives, batched over points.
+exist, its first and second coordinate derivatives, batched over points:
+an analytic family writes one `jet`, an fd-only family only `metric`.
 Specs are immutable; evaluation is pure.
 
 Conformally flat metrics g = U^{4/(n-2)} delta are the workhorse, all of
@@ -14,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (
-    fd_metric_derivatives,
-    ricci_tensor,
-    scalar_curvature,
-    christoffel,
-)
+from .curvature import fd_metric_derivatives
 
 EPS = np.finfo(float).eps
 
@@ -30,13 +26,11 @@ __all__ = [
     "StepTooLarge",
     "NonPositiveConformalFactor",
     "MetricSpec",
-    "PointwiseCurvature",
     "RadialProfile",
     "ScalarField",
     "RadialField",
     "ConformalFamily",
     "harmonic_dipole_field",
-    "scalar_curvature_at",
     "euclidean",
     "schwarzschild",
     "harmonically_flat",
@@ -46,7 +40,6 @@ __all__ = [
     "translated",
     "metric_at",
     "metric_derivatives_at",
-    "curvature_at",
     "metric_to_json",
     "metric_from_json",
 ]
@@ -235,14 +228,16 @@ class Family:
     #: conformal radial profile U, when the family is of the form U^{4/(n-2)} delta
     radial_profile = None
 
+    def jet(self, x, order):
+        """[g, dg, d2g][:order + 1] at the points x (N, n), in the layout of
+        afmass.curvature.  A subclass overrides jet, or only metric when it
+        has no analytic derivatives (order 0 then comes from metric)."""
+        if order > 0:
+            raise NotImplementedError(f"{self.name} has no analytic derivatives")
+        return [self.metric(x)]
+
     def metric(self, x):
-        raise NotImplementedError
-
-    def dmetric(self, x):
-        raise NotImplementedError
-
-    def d2metric(self, x):
-        raise NotImplementedError
+        return self.jet(x, 0)[0]
 
     def clearance(self, x):
         """Distance |x| - inner_radius of the points x (N, n) from the
@@ -278,16 +273,11 @@ class Euclidean(Family):
             name="one",
         )
 
-    def metric(self, x):
-        return np.broadcast_to(np.eye(self.n), (x.shape[0], self.n, self.n)).copy()
-
-    def dmetric(self, x):
-        n = self.n
-        return np.zeros((x.shape[0], n, n, n))
-
-    def d2metric(self, x):
-        n = self.n
-        return np.zeros((x.shape[0], n, n, n, n))
+    def jet(self, x, order):
+        N, n = x.shape
+        return [np.broadcast_to(np.eye(n), (N, n, n)).copy()] + [
+            np.zeros((N,) + (n,) * (k + 2)) for k in range(1, order + 1)
+        ]
 
     def params_json(self):
         return {}
@@ -327,7 +317,10 @@ class ConformalFamily(Family):
         self.flux_decay_order = 1.0 if flux_decay_order is None else flux_decay_order
         self.mass_hint = mass_hint
 
-    def _jet(self, x, order):
+    def jet(self, x, order):
+        """g = F delta with F = U^e, e = 4/(n-2): dF = e U^{e-1} grad U and
+        d2F = e U^{e-1} Hess U + e (e-1) U^{e-2} grad U grad U, from one
+        jet of the factor."""
         jet = self.field.jet(x, order)
         u = jet[0]
         if np.any(u <= 0.0):
@@ -335,27 +328,19 @@ class ConformalFamily(Family):
                 f"{self.name}: conformal factor U <= 0 at {x[u <= 0.0][:3]}"
                 f" (factor {self.field.name})"
             )
-        return jet
-
-    def metric(self, x):
-        (u,) = self._jet(x, 0)
-        return (u ** (4.0 / (self.n - 2)))[:, None, None] * np.eye(self.n)[None]
-
-    def dmetric(self, x):
         e = 4.0 / (self.n - 2)
-        u, du = self._jet(x, 1)
-        dF = e * (u ** (e - 1.0))[:, None] * du
-        return np.einsum("nk,ij->nkij", dF, np.eye(self.n))
-
-    def d2metric(self, x):
-        e = 4.0 / (self.n - 2)
-        u, du, d2u = self._jet(x, 2)
-        d2F = e * (
-            (e - 1.0) * (u ** (e - 2.0))[:, None, None]
-            * np.einsum("nk,nl->nkl", du, du)
-            + (u ** (e - 1.0))[:, None, None] * d2u
-        )
-        return np.einsum("nkl,ij->nklij", d2F, np.eye(self.n))
+        F = [u ** e]
+        if order >= 1:
+            f1 = e * u ** (e - 1.0)
+            F.append(f1[:, None] * jet[1])
+        if order == 2:
+            F.append(
+                f1[:, None, None] * jet[2]
+                + (e * (e - 1.0) * u ** (e - 2.0))[:, None, None]
+                * np.einsum("nk,nl->nkl", jet[1], jet[1])
+            )
+        eye = np.eye(self.n)
+        return [np.einsum("n...,ij->n...ij", f, eye) for f in F]
 
     def params_json(self):
         if self.params is None:
@@ -392,34 +377,24 @@ class AsymptoticallySchwarzschildFamily(Family):
         self.mass_hint = float(m)
         self.inner_radius = inner_radius
 
-    def _w(self, x):
-        n = self.n
+    def jet(self, x, order):
+        """The base's jet plus c B times the jet of w = s^p, s = 1 + |x|^2,
+        p = -(n-1)/2: dw = 2p s^{p-1} x, d2w = 2p s^{p-1} I + 4p(p-1) s^{p-2} x x."""
+        p = -(self.n - 1) / 2.0
         s = 1.0 + np.einsum("ni,ni->n", x, x)
-        w = s ** (-(n - 1) / 2.0)
-        dw = -(n - 1) * s[:, None] ** (-(n + 1) / 2.0) * x
-        d2w = -(n - 1) * (
-            s[:, None, None] ** (-(n + 1) / 2.0) * np.eye(n)[None]
-            - (n + 1)
-            * s[:, None, None] ** (-(n + 3) / 2.0)
-            * np.einsum("nk,nl->nkl", x, x)
-        )
-        return w, dw, d2w
-
-    def metric(self, x):
-        w, _, _ = self._w(x)
-        return self.base.metric(x) + self.c * w[:, None, None] * self.B[None]
-
-    def dmetric(self, x):
-        _, dw, _ = self._w(x)
-        return self.base.dmetric(x) + self.c * np.einsum(
-            "nk,ij->nkij", dw, self.B
-        )
-
-    def d2metric(self, x):
-        _, _, d2w = self._w(x)
-        return self.base.d2metric(x) + self.c * np.einsum(
-            "nkl,ij->nklij", d2w, self.B
-        )
+        w = [s ** p]
+        if order >= 1:
+            w.append((2.0 * p * s ** (p - 1.0))[:, None] * x)
+        if order == 2:
+            w.append(
+                (2.0 * p * s ** (p - 1.0))[:, None, None] * np.eye(self.n)
+                + (4.0 * p * (p - 1.0) * s ** (p - 2.0))[:, None, None]
+                * np.einsum("nk,nl->nkl", x, x)
+            )
+        return [
+            b + self.c * wk[..., None, None] * self.B
+            for b, wk in zip(self.base.jet(x, order), w)
+        ]
 
     def params_json(self):
         return {"m": self.m, "c": self.c}
@@ -470,14 +445,9 @@ class ScaledFamily(Family):
             name=f"dilated({p.name})",
         )
 
-    def metric(self, x):
-        return self.base_spec.family.metric(x / self.lam)
-
-    def dmetric(self, x):
-        return self.base_spec.family.dmetric(x / self.lam) / self.lam
-
-    def d2metric(self, x):
-        return self.base_spec.family.d2metric(x / self.lam) / self.lam ** 2
+    def jet(self, x, order):
+        jet = self.base_spec.family.jet(x / self.lam, order)
+        return [d / self.lam ** k for k, d in enumerate(jet)]
 
     def clearance(self, x):
         return self.lam * self.base_spec.family.clearance(x / self.lam)
@@ -503,14 +473,8 @@ class TranslatedFamily(Family):
         self.flux_decay_order = b.flux_decay_order
         self.mass_hint = b.mass_hint
 
-    def metric(self, x):
-        return self.base_spec.family.metric(x + self.offset)
-
-    def dmetric(self, x):
-        return self.base_spec.family.dmetric(x + self.offset)
-
-    def d2metric(self, x):
-        return self.base_spec.family.d2metric(x + self.offset)
+    def jet(self, x, order):
+        return self.base_spec.family.jet(x + self.offset, order)
 
     def clearance(self, x):
         return self.base_spec.family.clearance(x + self.offset)
@@ -551,13 +515,6 @@ class MetricSpec:
     @property
     def n(self):
         return self.family.n
-
-
-@dataclass(frozen=True)
-class PointwiseCurvature:
-    christoffel: np.ndarray
-    ricci: np.ndarray
-    scalar: float
 
 
 def euclidean(n, **kw):
@@ -643,19 +600,16 @@ def metric_derivatives_at(spec, x, order=2):
     pts, single = _as_points(x, spec.n)
     spec.family.check_points(pts)
     if spec.derivative_mode == "analytic":
-        dg = spec.family.dmetric(pts)
-        d2g = spec.family.d2metric(pts) if order == 2 else None
+        derivs = spec.family.jet(pts, order)[1:]
     else:
         h1, h2 = _fd_steps(spec, pts)
         _check_stencil(spec, pts, 2.0 * max(h1, h2))
-        dg, _ = fd_metric_derivatives(spec.family.metric, pts, h1)
-        d2g = None
+        derivs = [fd_metric_derivatives(spec.family.metric, pts, h1)[0]]
         if order == 2:
-            _, d2g = fd_metric_derivatives(spec.family.metric, pts, h2)
+            derivs.append(fd_metric_derivatives(spec.family.metric, pts, h2)[1])
     if single:
-        dg = dg[0]
-        d2g = d2g[0] if d2g is not None else None
-    return dg if order == 1 else (dg, d2g)
+        derivs = [d[0] for d in derivs]
+    return derivs[0] if order == 1 else tuple(derivs)
 
 
 def _check_stencil(spec, pts, reach):
@@ -663,28 +617,6 @@ def _check_stencil(spec, pts, reach):
         raise StepTooLarge(
             "finite-difference stencil exits the valid chart region"
         )
-
-
-def curvature_at(spec, x):
-    """Christoffel symbols, Ricci tensor, and scalar curvature at x."""
-    pts, single = _as_points(x, spec.n)
-    g = metric_at(spec, pts)
-    dg, d2g = metric_derivatives_at(spec, pts, order=2)
-    gamma = christoffel(np.linalg.inv(g), dg)
-    ric = ricci_tensor(g, dg, d2g)
-    scal = np.einsum("njk,njk->n", np.linalg.inv(g), ric)
-    if single:
-        return PointwiseCurvature(gamma[0], ric[0], float(scal[0]))
-    return PointwiseCurvature(gamma, ric, scal)
-
-
-def scalar_curvature_at(spec, x):
-    """Scalar curvature only (batched)."""
-    pts, single = _as_points(x, spec.n)
-    g = metric_at(spec, pts)
-    dg, d2g = metric_derivatives_at(spec, pts, order=2)
-    R = scalar_curvature(g, dg, d2g)
-    return float(R[0]) if single else R
 
 
 # ---------------------------------------------------------------------------

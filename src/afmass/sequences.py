@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import BLOCK_ENTRIES
 from .mass import adm_mass
 from .metrics import (
     GeometryError,
@@ -99,13 +100,24 @@ def blow_up_window(spec, p, i, half_width=1.0, q=4):
     grid = window_grid(n, half_width, q)
     pts = p[None, :] + grid @ A.T / i
     _check_window(spec, pts)
-    g = metric_at(spec, pts)
-    dg, d2g = metric_derivatives_at(spec, pts, order=2)
-    ghat = np.einsum("ia,nij,jb->nab", A, g, A)
-    dghat = np.einsum("nmij,mk,ia,jb->nkab", dg, A, A, A) / i
-    d2ghat = np.einsum("nmpij,mk,pl,ia,jb->nklab", d2g, A, A, A, A) / i ** 2
-    return WindowSample(index=float(i), center=p, grid=grid, g=ghat,
-                        dg=dghat, d2g=d2ghat)
+    # [ghat, dghat, d2ghat], filled in blocks of at most BLOCK_ENTRIES of d2g
+    jet = [np.empty((len(pts),) + (n,) * (k + 2)) for k in range(3)]
+    step = max(1, BLOCK_ENTRIES // n ** 4)
+    for s in range(0, len(pts), step):
+        block = pts[s:s + step]
+        derivs = metric_derivatives_at(spec, block, order=2)
+        for k, d in enumerate((metric_at(spec, block), *derivs)):
+            jet[k][s:s + step] = _in_frame(d, A) / i ** k
+    return WindowSample(index=float(i), center=p, grid=grid, g=jet[0],
+                        dg=jet[1], d2g=jet[2])
+
+
+def _in_frame(t, A):
+    """t with the frame A applied to each index past the first (the points),
+    t_{.. i ..} A^i_a, one matmul per index: N n^{k+1} work for k indices."""
+    for _ in range(t.ndim - 1):
+        t = np.moveaxis(t @ A, -1, 1)
+    return t
 
 
 def escaping_window(spec, center, half_width=1.0, q=4):

@@ -17,6 +17,7 @@ from afmass.cone import (
     geodesic_curvature_integral,
     total_gauss_curvature,
 )
+from afmass.curvature import scalar_curvature
 from afmass.geometry import (
     SphereQuadrature,
     flat_angular_density,
@@ -29,8 +30,9 @@ from afmass.metrics import (
     conformally_flat,
     euclidean,
     harmonic_dipole_field,
+    metric_at,
+    metric_derivatives_at,
     scaled,
-    scalar_curvature_at,
     schwarzschild,
 )
 from afmass.sequences import run_semicontinuity_experiment
@@ -144,7 +146,8 @@ def test_criterion_4_shell_masses_curvature_and_weighted_distance():
             assert abs(est.value - target) < 1e-3, (n, i, est.value)
             # nonnegative scalar curvature at sampled points
             for r in (0.3 * i, 0.6 * i, 0.75 * i, 0.9 * i, 1.5 * i):
-                R = scalar_curvature_at(spec, r * sphere_chart(phi))
+                x = r * sphere_chart(phi)
+                R = scalar_curvature(metric_at(spec, x), *metric_derivatives_at(spec, x))
                 assert float(np.min(R)) > -1e-12, (n, i, r)
             params = WeightedNormParams(
                 tau=tau, k=2, r_min=0.05, r_max=64.0,

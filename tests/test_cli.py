@@ -115,7 +115,19 @@ class TestConfigValidation:
         {"command": "adm-mass", "spec": SCHWARZSCHILD_N3, "radii": 5},
         {"command": "adm-mass", "spec": SCHWARZSCHILD_N3, "radii": ["x"]},
         {"command": "cone-angle", "alpha": 0.7, "perturbation": 3},
-    ], ids=["radii-number", "radii-string", "perturbation-number"])
+        {"command": "adm-mass", "radii": [50, 100], "q": 4,
+         "spec": {**SCHWARZSCHILD_N3, "derivative_mode": "fd", "fd_step": "x"}},
+        {"command": "adm-mass", "radii": [50, 100], "q": 4,
+         "spec": {"n": 3, "family": "Schwarzschild",
+                  "params": {"m": 1.0, "inner_radius": "a"}}},
+        {"command": "adm-mass", "radii": [50, 100], "q": 4,
+         "spec": {"n": 3, "family": "Scaled",
+                  "params": {"base": {**SCHWARZSCHILD_N3, "n": 2}, "lambda": 2.0}}},
+        {"command": "adm-mass", "radii": [50, 100], "q": 4,
+         "spec": {"n": 3, "family": "Scaled",
+                  "params": {"base": {**SCHWARZSCHILD_N3, "n": 40}, "lambda": 2.0}}},
+    ], ids=["radii-number", "radii-string", "perturbation-number", "fd-step-string",
+            "inner-radius-string", "scaled-base-n2", "scaled-base-n40"])
     def test_wrong_shape_exit_2(self, tmp_path, capsys, doc):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"

@@ -7,7 +7,13 @@ from afmass.curvature import (
     ricci_tensor,
     scalar_curvature,
 )
+from afmass.metrics import (
+    asymptotically_schwarzschild,
+    metric_at,
+    metric_derivatives_at,
+)
 from fd_reference import curvature_of_metric_fn, fd4_metric_derivatives
+from ricci_reference import ricci_reference
 
 
 def round_sphere_metric(R, d):
@@ -91,3 +97,16 @@ def test_order4_beats_order2_on_smooth_metric():
     err2 = abs(d2_2[0, 0, 0, 0, 0] - exact_d2)
     err4 = abs(d2_4[0, 0, 0, 0, 0] - exact_d2)
     assert err4 < err2 / 10
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_ricci_matches_christoffel_derivative_reference(n):
+    # a perturbation with a random symmetric direction leaves no symmetry
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    spec = asymptotically_schwarzschild(n, 1.3, c=0.4, direction=B + B.T)
+    x = rng.uniform(0.5, 3.0, size=(64, n)) * rng.choice([-1.0, 1.0], size=(64, n))
+    g = metric_at(spec, x)
+    dg, d2g = metric_derivatives_at(spec, x)
+    ref = ricci_reference(g, dg, d2g)
+    assert np.abs(ricci_tensor(g, dg, d2g) - ref).max() <= 1e-12 * np.abs(ref).max()

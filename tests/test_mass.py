@@ -30,6 +30,7 @@ from afmass.metrics import (
     scaled,
     schwarzschild,
 )
+from afmass.shells import shell_mass, shell_metric
 
 # closed form: flux through S_r of a radial conformal power-tail metric is
 # m U(r)^{(6-n)/(n-2)}; frozen for m=1.3, r=50
@@ -58,6 +59,15 @@ def test_adm_mass_schwarzschild(n):
     est = adm_mass(spec, radii=(50.0, 100.0, 200.0, 400.0), q=32)
     assert est.value == pytest.approx(1.3, rel=1e-3)
     assert est.model["p"] >= 1.0
+
+
+@pytest.mark.parametrize("n,i", [(5, 128), (3, 512)])
+def test_default_radii_clear_the_shell(n, i):
+    # the default ladder starts at twice the outer edge of the support
+    # [i/2, i]; the flux of a sphere inside the shell misses the mass
+    est = adm_mass(shell_metric(n, i))
+    assert est.radii[0] >= 2.0 * i
+    assert est.value == pytest.approx(shell_mass(n), rel=1e-3)
 
 
 def test_euclidean_mass_zero():

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afmass.curvature import scalar_curvature
 from afmass.metrics import (
     NotPositiveDefinite,
     SingularPoint,
     StepTooLarge,
     asymptotically_schwarzschild,
     conformally_flat,
-    curvature_at,
     euclidean,
     harmonic_dipole_field,
     harmonically_flat,
@@ -17,7 +17,6 @@ from afmass.metrics import (
     metric_derivatives_at,
     metric_from_json,
     metric_to_json,
-    scalar_curvature_at,
     scaled,
     schwarzschild,
     translated,
@@ -43,7 +42,7 @@ class TestSchwarzschildValues:
     def test_scalar_flat(self, n):
         spec = schwarzschild(n, 0.8)
         x = np.array([[3.0] + [0.5] * (n - 1), [1.0] * n])
-        R = scalar_curvature_at(spec, x)
+        R = scalar_curvature(metric_at(spec, x), *metric_derivatives_at(spec, x))
         assert np.allclose(R, 0.0, atol=1e-7)
 
     def test_mass_hint(self):
@@ -84,6 +83,34 @@ class TestDerivativeModes:
                                   order=1)
         with pytest.raises(SingularPoint):
             metric_at(spec, np.array([0.5, 0.0, 0.0]) - offset)
+
+
+class TestOneJet:
+    def test_conformal_field_evaluated_once(self, monkeypatch):
+        field = harmonic_dipole_field(3, 0.5, 0.2)
+        calls = {"value": 0, "grad": 0, "hess": 0}
+        for name in calls:
+            def counting(x, fn=getattr(field, name), name=name):
+                calls[name] += 1
+                return fn(x)
+            monkeypatch.setattr(field, name, counting)
+        spec = conformally_flat(3, field)
+        x = np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]])
+        metric_derivatives_at(spec, x, 2)
+        assert calls == {"value": 1, "grad": 1, "hess": 1}
+
+    def test_asymptotically_schwarzschild_metric_builds_no_hessian(self, monkeypatch):
+        spec = asymptotically_schwarzschild(3, 1.0, c=0.3)
+        orders = []
+        for family in (spec.family, spec.family.base):
+            def recording(x, order, fn=family.jet):
+                orders.append(order)
+                return fn(x, order)
+            monkeypatch.setattr(family, "jet", recording)
+        profile = spec.family.base.radial_profile
+        monkeypatch.setattr(profile, "d2u", None)
+        metric_at(spec, np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]]))
+        assert orders == [0, 0]
 
 
 class TestPointChecks:
@@ -212,11 +239,3 @@ class TestJsonRoundTrip:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             metric_from_json({"n": 3, "family": "Nope", "params": {}})
-
-
-def test_curvature_at_bundle():
-    spec = schwarzschild(3, 1.0)
-    pc = curvature_at(spec, np.array([5.0, 0.0, 0.0]))
-    assert pc.christoffel.shape == (3, 3, 3)
-    assert pc.ricci.shape == (3, 3)
-    assert pc.scalar == pytest.approx(0.0, abs=1e-9)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from afmass.metrics import metric_at, schwarzschild, translated
+from afmass import sequences
+from afmass.metrics import (
+    asymptotically_schwarzschild,
+    metric_at,
+    metric_derivatives_at,
+    schwarzschild,
+    translated,
+)
 from afmass.sequences import (
     EXPERIMENT_KINDS,
     GridMismatch,
@@ -44,6 +51,36 @@ class TestBlowUpWindow:
         ]
         for a, b in zip(dists, dists[1:]):
             assert 1.7 < a / b < 2.3
+
+    def test_frame_matches_one_einsum(self):
+        # one matmul per index against the single einsums over all indices
+        spec = asymptotically_schwarzschild(4, 1.0, c=0.3)
+        p = np.array([2.0, 1.0, -0.5, 1.5])
+        i = 3
+        sample = blow_up_window(spec, p, i, half_width=0.5, q=3)
+        lam, V = np.linalg.eigh(metric_at(spec, p))
+        A = (V / np.sqrt(lam)) @ V.T
+        A = 0.5 * (A + A.T)
+        pts = p + sample.grid @ A.T / i
+        dg, d2g = metric_derivatives_at(spec, pts, order=2)
+        expected = [
+            np.einsum("ia,nij,jb->nab", A, metric_at(spec, pts), A),
+            np.einsum("nmij,mk,ia,jb->nkab", dg, A, A, A) / i,
+            np.einsum("nmpij,mk,pl,ia,jb->nklab", d2g, A, A, A, A) / i ** 2,
+        ]
+        for got, want in zip((sample.g, sample.dg, sample.d2g), expected):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        spec = asymptotically_schwarzschild(4, 1.0, c=0.3)
+        p = np.array([2.0, 1.0, -0.5, 1.5])
+        whole = blow_up_window(spec, p, 3, half_width=0.5, q=3)
+        # 10 nodes a block: 81 nodes in 9 blocks, the last one short
+        monkeypatch.setattr(sequences, "BLOCK_ENTRIES", 10 * 4 ** 4 + 1)
+        split = blow_up_window(spec, p, 3, half_width=0.5, q=3)
+        for a, b in ((whole.g, split.g), (whole.dg, split.dg), (whole.d2g, split.d2g)):
+            assert np.allclose(a, b, rtol=1e-15, atol=0.0)
 
     def test_window_guard(self):
         spec = schwarzschild(3, 1.0, inner_radius=0.5)
