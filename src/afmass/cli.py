@@ -340,11 +340,13 @@ def run(cfg):
     """Execute a validated RunConfig; writes reports into cfg.out_dir.
 
     Returns the list of written paths.  Raises ComputationFailed (after
-    writing an error report) if the computation errors out."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    writing an error report) if the computation errors out.  The output
+    directory is made only once there is a report to write, so a config
+    that a handler rejects (ConfigInvalid) leaves none behind."""
     written = []
     try:
         outputs = _DISPATCH[cfg.command](cfg)
+        os.makedirs(cfg.out_dir, exist_ok=True)
         # write_json_report raises ValueError on a NaN in the payload
         for name, payload in outputs["json"].items():
             path = os.path.join(cfg.out_dir, name)
@@ -354,6 +356,7 @@ def run(cfg):
         raise
     except (GeometryError, ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
         error_doc = {"error": type(exc).__name__, "message": str(exc)}
+        os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, "error.json")
         write_json_report(path, error_doc, config=cfg.echo())
         raise ComputationFailed(f"{type(exc).__name__}: {exc}") from exc

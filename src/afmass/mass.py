@@ -135,20 +135,14 @@ def adm_flux(spec, r, q=32):
 
 
 def _flux_integrand(dg, u):
-    # sum_ij (d_i g_ij - d_j g_ii) u^j
-    return np.einsum("niij,nj->n", dg, u) - np.einsum("njii,nj->n", dg, u)
+    # sum_ij (d_i g_ij - d_j g_ii) u^j: both traces first, then one dot with u
+    traces = np.einsum("niij->nj", dg) - np.einsum("njii->nj", dg)
+    return np.einsum("nj,nj->n", traces, u)
 
 
 def default_mass_radii(base_radius, count=4):
     """Geometric ladder base, 2*base, ... used for extrapolation."""
     return tuple(base_radius * 2.0 ** k for k in range(count))
-
-
-def _support_radius(spec):
-    """2 max(radial breakpoints, inner radius): default sample radii start at
-    or past it, clear of the family's matter support and excluded ball."""
-    family = spec.family
-    return 2.0 * max((family.inner_radius, *family.radial_breakpoints))
 
 
 def _decay_exponent(spec):
@@ -162,12 +156,12 @@ def _decay_exponent(spec):
 def adm_mass(spec, radii=None, q=32, p=None):
     """Total mass: flux at several radii, extrapolated to r = infinity.
 
-    The default ladder starts at or past twice the family's radial
-    breakpoints and inner radius."""
+    The default ladder starts at or past twice the family's support radius
+    (its radial breakpoints and inner radius, moved by a translation)."""
     if radii is None:
-        radii = default_mass_radii(
-            max(50.0 * 2.0 ** max(0, 5 - spec.n), _support_radius(spec))
-        )
+        radii = default_mass_radii(max(
+            50.0 * 2.0 ** max(0, 5 - spec.n), 2.0 * spec.family.support_radius()
+        ))
     if p is None:
         p = _decay_exponent(spec)
     return extrapolate(radii, [adm_flux(spec, r, q=q) for r in radii], p)

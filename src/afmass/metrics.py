@@ -208,6 +208,14 @@ def harmonic_dipole_field(n, a, b):
 # families
 
 
+def _times_identity(f, n):
+    """f delta_ij, shape f.shape + (n, n): zeros with f written onto the
+    diagonal of the last two axes through a flat strided view."""
+    out = np.zeros(f.shape + (n, n))
+    out.reshape(-1, n * n)[:, ::n + 1] = f.reshape(-1, 1)
+    return out
+
+
 class Family:
     """Base class: batched metric evaluation plus metadata used by the
     mass and sequence machinery."""
@@ -231,7 +239,11 @@ class Family:
     def jet(self, x, order):
         """[g, dg, d2g][:order + 1] at the points x (N, n), in the layout of
         afmass.curvature.  A subclass overrides jet, or only metric when it
-        has no analytic derivatives (order 0 then comes from metric)."""
+        has no analytic derivatives (order 0 then comes from metric).
+
+        The arrays are fresh: they share no memory with the family or with
+        an earlier call, so the caller owns them and may modify them in
+        place (the wrapper families scale or add into their base's jet)."""
         if order > 0:
             raise NotImplementedError(f"{self.name} has no analytic derivatives")
         return [self.metric(x)]
@@ -246,6 +258,11 @@ class Family:
         if self.inner_radius > 0.0 or self.excludes_origin:
             return np.linalg.norm(x, axis=1) - self.inner_radius
         return np.full(x.shape[0], np.inf)
+
+    def support_radius(self):
+        """Radius of the centred ball that holds the family's radial
+        structure and its excluded ball: max(breakpoints, inner radius)."""
+        return max((self.inner_radius, *self.radial_breakpoints))
 
     def check_points(self, x):
         if np.any(self.clearance(x) <= 0.0):
@@ -339,8 +356,7 @@ class ConformalFamily(Family):
                 + (e * (e - 1.0) * u ** (e - 2.0))[:, None, None]
                 * np.einsum("nk,nl->nkl", jet[1], jet[1])
             )
-        eye = np.eye(self.n)
-        return [np.einsum("n...,ij->n...ij", f, eye) for f in F]
+        return [_times_identity(f, self.n) for f in F]
 
     def params_json(self):
         if self.params is None:
@@ -373,13 +389,16 @@ class AsymptoticallySchwarzschildFamily(Family):
             B = np.asarray(direction, dtype=float)
             B = 0.5 * (B + B.T)
         self.B = B
+        # the entries (i, j) where c w B adds to the base's jet
+        self._nonzero = tuple(zip(*np.nonzero(B)))
         self.flux_decay_order = 1.0
         self.mass_hint = float(m)
         self.inner_radius = inner_radius
 
     def jet(self, x, order):
         """The base's jet plus c B times the jet of w = s^p, s = 1 + |x|^2,
-        p = -(n-1)/2: dw = 2p s^{p-1} x, d2w = 2p s^{p-1} I + 4p(p-1) s^{p-2} x x."""
+        p = -(n-1)/2: dw = 2p s^{p-1} x, d2w = 2p s^{p-1} I + 4p(p-1) s^{p-2} x x.
+        c w B is added into the base's jet in place, at B's nonzero entries."""
         p = -(self.n - 1) / 2.0
         s = 1.0 + np.einsum("ni,ni->n", x, x)
         w = [s ** p]
@@ -391,10 +410,12 @@ class AsymptoticallySchwarzschildFamily(Family):
                 + (4.0 * p * (p - 1.0) * s ** (p - 2.0))[:, None, None]
                 * np.einsum("nk,nl->nkl", x, x)
             )
-        return [
-            b + self.c * wk[..., None, None] * self.B
-            for b, wk in zip(self.base.jet(x, order), w)
-        ]
+        jet = self.base.jet(x, order)
+        for d, wk in zip(jet, w):
+            cw = self.c * wk
+            for i, j in self._nonzero:
+                d[..., i, j] += cw * self.B[i, j]
+        return jet
 
     def params_json(self):
         return {"m": self.m, "c": self.c}
@@ -447,10 +468,15 @@ class ScaledFamily(Family):
 
     def jet(self, x, order):
         jet = self.base_spec.family.jet(x / self.lam, order)
-        return [d / self.lam ** k for k, d in enumerate(jet)]
+        for k in range(1, order + 1):
+            jet[k] /= self.lam ** k
+        return jet
 
     def clearance(self, x):
         return self.lam * self.base_spec.family.clearance(x / self.lam)
+
+    def support_radius(self):
+        return self.lam * self.base_spec.family.support_radius()
 
     def params_json(self):
         return {"base": metric_to_json(self.base_spec), "lambda": self.lam}
@@ -478,6 +504,12 @@ class TranslatedFamily(Family):
 
     def clearance(self, x):
         return self.base_spec.family.clearance(x + self.offset)
+
+    def support_radius(self):
+        # the base's centred ball, moved by the offset; radial_breakpoints
+        # stay empty, since the centred radial panels would misplace them
+        return self.base_spec.family.support_radius() + float(
+            np.linalg.norm(self.offset))
 
     def params_json(self):
         return {
@@ -634,11 +666,26 @@ def metric_to_json(spec):
 
 
 def metric_from_json(doc):
+    """The MetricSpec of a document; ValueError when the document names an
+    unknown family or derivative mode, or a family of another dimension
+    than its n."""
     n = int(doc["n"])
+    spec = _spec_from_json(doc, n)
+    if spec.n != n:
+        raise ValueError(
+            f"family {doc['family']} has n = {spec.n}, the document says n = {n}"
+        )
+    return spec
+
+
+def _spec_from_json(doc, n):
     fam = doc["family"]
     p = doc.get("params", {})
     kw = {}
-    if doc.get("derivative_mode") == "fd":
+    mode = doc.get("derivative_mode", "analytic")
+    if mode not in ("analytic", "fd"):
+        raise ValueError(f"derivative_mode must be 'analytic' or 'fd', got {mode!r}")
+    if mode == "fd":
         kw["derivative_mode"] = "fd"
     if "fd_step" in doc:
         kw["fd_step"] = doc["fd_step"]

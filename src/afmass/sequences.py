@@ -138,25 +138,24 @@ def c2_window_distance(sample, other=None):
 
     The max runs over grid points, tensor components, and derivative orders
     0, 1, 2; a flat comparison uses the identity metric with vanishing
-    derivatives."""
+    derivatives.  No copy of a whole window array is made against flat
+    space, and one difference per order (its abs taken in place) against a
+    second sample."""
     if other is None:
         n = sample.g.shape[-1]
-        diff0 = sample.g - np.eye(n)[None]
-        diff1 = sample.dg
-        diff2 = sample.d2g
-    else:
-        if sample.grid.shape != other.grid.shape or not np.allclose(
-            sample.grid, other.grid
-        ):
-            raise GridMismatch("window samples live on different grids")
-        diff0 = sample.g - other.g
-        diff1 = sample.dg - other.dg
-        diff2 = sample.d2g - other.d2g
-    return max(
-        float(np.abs(diff0).max()),
-        float(np.abs(diff1).max()),
-        float(np.abs(diff2).max()),
-    )
+        diffs = (sample.g - np.eye(n)[None], sample.dg, sample.d2g)
+        return max(max(float(d.max()), -float(d.min())) for d in diffs)
+    if sample.grid.shape != other.grid.shape or not np.allclose(
+        sample.grid, other.grid
+    ):
+        raise GridMismatch("window samples live on different grids")
+    pairs = ((sample.g, other.g), (sample.dg, other.dg), (sample.d2g, other.d2g))
+    return max(_max_abs_difference(a, b) for a, b in pairs)
+
+
+def _max_abs_difference(a, b):
+    diff = a - b
+    return float(np.abs(diff, out=diff).max())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import scalar_curvature
 from .geometry import SphereQuadrature
-from .mass import _support_radius, adm_flux, extrapolate, flux_constant
+from .mass import adm_flux, extrapolate, flux_constant
 from .metrics import GeometryError, metric_at, metric_derivatives_at
 
 __all__ = [
@@ -144,12 +144,12 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64,
     Evaluates flux(inner) + c_n * int D(g) over annuli out to R for
     R in {outer/4, outer/2, outer}, then extrapolates in R exactly as the
     flux route does.  The default outer puts outer/4 past twice the
-    family's radial breakpoints and inner radius."""
+    family's support radius."""
     n = spec.n
     if inner is None:
         inner = max(2.0, 2.0 * spec.family.inner_radius + 1.0)
     if outer is None:
-        outer = max(64.0 * inner, 4.0 * _support_radius(spec))
+        outer = max(64.0 * inner, 8.0 * spec.family.support_radius())
     radii = [outer / 4.0, outer / 2.0, outer]
     if radii[0] <= inner:
         raise ValueError("need outer > 4 * inner")

@@ -126,8 +126,13 @@ class TestConfigValidation:
         {"command": "adm-mass", "radii": [50, 100], "q": 4,
          "spec": {"n": 3, "family": "Scaled",
                   "params": {"base": {**SCHWARZSCHILD_N3, "n": 40}, "lambda": 2.0}}},
+        {"command": "adm-mass", "radii": [50, 100], "q": 4,
+         "spec": {"n": 3, "family": "Cone2D", "params": {"alpha": 0.5}}},
+        {"command": "adm-mass", "radii": [50, 100], "q": 4,
+         "spec": {**SCHWARZSCHILD_N3, "derivative_mode": "bogus"}},
     ], ids=["radii-number", "radii-string", "perturbation-number", "fd-step-string",
-            "inner-radius-string", "scaled-base-n2", "scaled-base-n40"])
+            "inner-radius-string", "scaled-base-n2", "scaled-base-n40",
+            "cone-in-n3", "derivative-mode-bogus"])
     def test_wrong_shape_exit_2(self, tmp_path, capsys, doc):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"

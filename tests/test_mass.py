@@ -11,6 +11,7 @@ from afmass.mass import (
     FitIllConditioned,
     MassEstimate,
     ZeroRhoMin,
+    _flux_integrand,
     adm_flux,
     adm_mass,
     extrapolate,
@@ -29,6 +30,7 @@ from afmass.metrics import (
     harmonically_flat,
     scaled,
     schwarzschild,
+    translated,
 )
 from afmass.shells import shell_mass, shell_metric
 
@@ -68,6 +70,22 @@ def test_default_radii_clear_the_shell(n, i):
     est = adm_mass(shell_metric(n, i))
     assert est.radii[0] >= 2.0 * i
     assert est.value == pytest.approx(shell_mass(n), rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_flux_integrand_matches_two_einsums(n):
+    rng = np.random.default_rng(n)
+    dg = rng.normal(size=(50, n, n, n))
+    u = rng.normal(size=(50, n))
+    old = np.einsum("niij,nj->n", dg, u) - np.einsum("njii,nj->n", dg, u)
+    assert np.abs(_flux_integrand(dg, u) - old).max() <= 1e-14 * np.abs(old).max()
+
+
+def test_default_radii_clear_a_translated_shell():
+    # a translation moves the support [256, 512] to within 512 + |offset|
+    est = adm_mass(translated(shell_metric(3, 512), [10.0, 0.0, 0.0]))
+    assert est.radii[0] >= 2.0 * 522.0
+    assert est.value == pytest.approx(shell_mass(3), rel=1e-3)
 
 
 def test_euclidean_mass_zero():

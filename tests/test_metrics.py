@@ -21,6 +21,9 @@ from afmass.metrics import (
     schwarzschild,
     translated,
 )
+from afmass.shells import shell_metric
+
+from jet_reference import jet_reference
 
 
 class TestSchwarzschildValues:
@@ -111,6 +114,63 @@ class TestOneJet:
         monkeypatch.setattr(profile, "d2u", None)
         metric_at(spec, np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]]))
         assert orders == [0, 0]
+
+
+def _random_direction(n, seed=5):
+    B = np.random.default_rng(seed).normal(size=(n, n))
+    return B + B.T
+
+
+# every analytic family that builds, scales, adds into or shifts a jet
+JET_FAMILIES = {
+    "Schwarzschild": lambda n: schwarzschild(n, 1.3),
+    "ScalarField": lambda n: conformally_flat(n, harmonic_dipole_field(n, 0.5, 0.2)),
+    "AS": lambda n: asymptotically_schwarzschild(n, 1.0, c=0.3),
+    "AS-full-direction": lambda n: asymptotically_schwarzschild(
+        n, 1.0, c=0.3, direction=_random_direction(n)),
+    "Scaled-AS": lambda n: scaled(asymptotically_schwarzschild(n, 1.0, c=0.3), 2.5),
+    "Translated-Scaled-shell": lambda n: translated(
+        scaled(shell_metric(n, 2), 1.5), np.linspace(0.5, -0.7, n)),
+}
+
+
+def _jet_points(n, count=40, seed=3):
+    # points at radii 0.7..30: inside, across and outside the shell support
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count, n))
+    return x * (np.geomspace(0.7, 30.0, count) / np.linalg.norm(x, axis=1))[:, None]
+
+
+class TestJetInPlace:
+    @pytest.mark.parametrize("name", sorted(JET_FAMILIES))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_full_size_reference(self, name, n):
+        family = JET_FAMILIES[name](n).family
+        x = _jet_points(n)
+        for order in (0, 1, 2):
+            jet = family.jet(x, order)
+            ref = jet_reference(family, x, order)
+            assert len(jet) == len(ref) == order + 1
+            for k, (d, r) in enumerate(zip(jet, ref)):
+                assert d.shape == r.shape == (len(x),) + (n,) * (k + 2)
+                scale = np.abs(r).max()
+                assert np.abs(d - r).max() <= 1e-15 * scale, (order, k)
+
+    @pytest.mark.parametrize("name", sorted(JET_FAMILIES) + ["Euclidean"])
+    def test_caller_owns_the_arrays(self, name):
+        n = 4
+        spec = euclidean(n) if name == "Euclidean" else JET_FAMILIES[name](n)
+        x = _jet_points(n, count=6)
+        first = spec.family.jet(x, 2)
+        second = spec.family.jet(x, 2)
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+        kept = [d.copy() for d in second]
+        for d in first:
+            d += 1.0
+        for d, k in zip(spec.family.jet(x, 2), kept):
+            assert np.array_equal(d, k)
 
 
 class TestPointChecks:

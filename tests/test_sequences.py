@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +133,38 @@ class TestC2Distance:
         spec = schwarzschild(3, 1.0)
         s = escaping_window(spec, np.array([10.0, 0, 0]), 0.5, 3)
         assert c2_window_distance(s) > 0.0
+
+    @staticmethod
+    def _abs_copy_distance(a, b=None):
+        # the distance from full-size abs copies of each difference
+        n = a.g.shape[-1]
+        diffs = ((a.g - np.eye(n)[None], a.dg, a.d2g) if b is None
+                 else (a.g - b.g, a.dg - b.dg, a.d2g - b.d2g))
+        return max(float(np.abs(d).max()) for d in diffs)
+
+    def test_equals_abs_copy_distance(self):
+        a = blow_up_window(asymptotically_schwarzschild(4, 1.0, c=-0.8),
+                           np.full(4, 1.5), 2, 0.5, 3)
+        b = blow_up_window(schwarzschild(4, 1.0), np.full(4, 1.5), 2, 0.5, 3)
+        # the mirror of a about flat space has the same distance, set by
+        # its most negative entry where a's is set by its largest
+        n = a.g.shape[-1]
+        mirror = dataclasses.replace(a, g=2.0 * np.eye(n) - a.g, dg=-a.dg, d2g=-a.d2g)
+        for s in (a, b, mirror):
+            assert c2_window_distance(s) == self._abs_copy_distance(s)
+        assert c2_window_distance(mirror) == c2_window_distance(a)
+        assert c2_window_distance(a, b) == self._abs_copy_distance(a, b)
+
+    def test_flat_distance_copies_no_window_array(self):
+        s = blow_up_window(schwarzschild(6, 1.0), np.full(6, 1.5), 2, 0.5, 4)
+        tracemalloc.start()
+        try:
+            distance = c2_window_distance(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distance == self._abs_copy_distance(s)
+        assert peak < 0.1 * s.d2g.nbytes, (peak, s.d2g.nbytes)
 
 
 class TestExperiments:

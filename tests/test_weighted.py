@@ -11,6 +11,7 @@ from afmass.metrics import (
     metric_at,
     metric_derivatives_at,
     schwarzschild,
+    translated,
 )
 from afmass.shells import shell_mass, shell_metric
 from afmass.weighted import (
@@ -63,6 +64,12 @@ class TestMassViaDivergence:
         est = mass_via_divergence(shell_metric(n, i))
         assert est.radii[0] >= 2.0 * i
         assert est.value == pytest.approx(shell_mass(n), rel=2e-3)
+
+    def test_default_radii_clear_a_translated_shell(self):
+        # the shell [256, 512] about -offset lies inside |x| <= 522
+        est = mass_via_divergence(translated(shell_metric(3, 512), [10.0, 0.0, 0.0]))
+        assert est.radii[0] >= 2.0 * 522.0
+        assert est.value == pytest.approx(shell_mass(3), rel=2e-3)
 
     def test_needs_room(self):
         with pytest.raises(ValueError):
