@@ -52,6 +52,7 @@ from .metrics import (
     metric_at,
     metric_derivatives_at,
     metric_from_json,
+    metric_jet,
     metric_to_json,
     scaled,
     schwarzschild,

@@ -292,8 +292,12 @@ def _cmd_sequence(cfg):
     kw = {}
     if "window_L" in cfg.raw:
         kw["half_width"] = _real(cfg.raw["window_L"], "window_L")
+        if kw["half_width"] <= 0.0:
+            raise ConfigInvalid(f"window_L must be positive, got {kw['half_width']}")
     if "resolution" in cfg.raw:
         kw["grid_q"] = _integer(cfg.raw["resolution"], "resolution")
+        if kw["grid_q"] < 1:
+            raise ConfigInvalid(f"resolution must be >= 1, got {kw['grid_q']}")
     rep = seq_mod.run_semicontinuity_experiment(
         kind, n=n, indices=cfg.indices(default=(2, 4, 8, 16)), q=cfg.q, **kw
     )

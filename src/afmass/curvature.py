@@ -3,8 +3,8 @@
 All routines are batched: metric arrays have shape (N, d, d), first
 derivatives (N, d, d, d) with dg[:, k, i, j] = d_k g_ij, and second
 derivatives (N, d, d, d, d) with d2g[:, k, l, i, j] = d_k d_l g_ij.
-scalar_curvature is the one entry point for R; metrics.metric_at and
-metrics.metric_derivatives_at supply its arguments.
+scalar_curvature is the one entry point for R; metrics.metric_jet supplies
+its arguments.
 """
 
 import numpy as np
@@ -80,11 +80,12 @@ def scalar_curvature(g, dg, d2g):
 
 
 def fd_metric_derivatives(fn, x, h):
-    """Finite-difference first and second derivatives of a matrix field.
+    """A matrix field with its finite-difference first and second derivatives.
 
-    fn maps (N, d) -> (N, d, d).  Returns (dg, d2g) with the layout described
-    in the module docstring, from 3-point central stencils (second order in
-    h) and their composition for the mixed second derivatives.
+    fn maps (N, d) -> (N, d, d).  Returns (f0, dg, d2g): f0 = fn(x), the
+    stencil's centre, and the derivatives in the layout described in the
+    module docstring, from 3-point central stencils (second order in h) and
+    their composition for the mixed second derivatives.
     """
     x = np.asarray(x, dtype=float)
     N, d = x.shape
@@ -114,4 +115,4 @@ def fd_metric_derivatives(fn, x, h):
             ) / (4.0 * h ** 2)
             d2g[:, k, m] = mixed
             d2g[:, m, k] = mixed
-    return dg, d2g
+    return f0, dg, d2g

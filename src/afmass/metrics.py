@@ -38,6 +38,7 @@ __all__ = [
     "asymptotically_schwarzschild",
     "scaled",
     "translated",
+    "metric_jet",
     "metric_at",
     "metric_derivatives_at",
     "metric_to_json",
@@ -596,30 +597,43 @@ def translated(base, offset, **kw):
     return MetricSpec(TranslatedFamily(base, offset), **kw)
 
 
-def metric_at(spec, x, check=True):
-    """Metric matrix g_ij(x); batched if x is (N, n).
+def metric_jet(spec, x, order=2, check=True):
+    """[g, dg, d2g][:order + 1] at x; batched if x is (N, n).
 
-    Raises SingularPoint outside the valid chart region and
-    NotPositiveDefinite when the evaluated matrix fails Cholesky.
+    Order 0 is the family's metric, analytic orders come from one family
+    jet, and in fd mode each derivative order is one central stencil whose
+    first centre is g.  Raises SingularPoint outside the valid chart
+    region, StepTooLarge when a stencil leaves it and, with check set,
+    NotPositiveDefinite when g fails Cholesky.
     """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     pts, single = _as_points(x, spec.n)
-    spec.family.check_points(pts)
-    g = spec.family.metric(pts)
+    family = spec.family
+    family.check_points(pts)
+    if order == 0:
+        jet = [family.metric(pts)]
+    elif spec.derivative_mode == "analytic":
+        jet = family.jet(pts, order)
+    else:
+        h1, h2 = _fd_steps(spec, pts)
+        _check_stencil(spec, pts, 2.0 * max(h1, h2))
+        jet = list(fd_metric_derivatives(family.metric, pts, h1)[:2])
+        if order == 2:
+            jet.append(fd_metric_derivatives(family.metric, pts, h2)[2])
     if check:
         try:
-            np.linalg.cholesky(g)
+            np.linalg.cholesky(jet[0])
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite(
-                f"{spec.family.name}: metric not positive definite"
+                f"{family.name}: metric not positive definite"
             ) from None
-    return g[0] if single else g
+    return [d[0] for d in jet] if single else jet
 
 
-def _fd_steps(spec, pts):
-    scale = np.max(np.maximum(1.0, np.linalg.norm(pts, axis=1)))
-    if spec.fd_step is not None:
-        return spec.fd_step, spec.fd_step
-    return EPS ** (1.0 / 3.0) * scale, EPS ** 0.25 * scale
+def metric_at(spec, x):
+    """Metric matrix g_ij(x), checked as by metric_jet; batched if x is (N, n)."""
+    return metric_jet(spec, x, 0)[0]
 
 
 def metric_derivatives_at(spec, x, order=2):
@@ -629,19 +643,15 @@ def metric_derivatives_at(spec, x, order=2):
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    pts, single = _as_points(x, spec.n)
-    spec.family.check_points(pts)
-    if spec.derivative_mode == "analytic":
-        derivs = spec.family.jet(pts, order)[1:]
-    else:
-        h1, h2 = _fd_steps(spec, pts)
-        _check_stencil(spec, pts, 2.0 * max(h1, h2))
-        derivs = [fd_metric_derivatives(spec.family.metric, pts, h1)[0]]
-        if order == 2:
-            derivs.append(fd_metric_derivatives(spec.family.metric, pts, h2)[1])
-    if single:
-        derivs = [d[0] for d in derivs]
+    derivs = metric_jet(spec, x, order, check=False)[1:]
     return derivs[0] if order == 1 else tuple(derivs)
+
+
+def _fd_steps(spec, pts):
+    scale = np.max(np.maximum(1.0, np.linalg.norm(pts, axis=1)))
+    if spec.fd_step is not None:
+        return spec.fd_step, spec.fd_step
+    return EPS ** (1.0 / 3.0) * scale, EPS ** 0.25 * scale
 
 
 def _check_stencil(spec, pts, reach):

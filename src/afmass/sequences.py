@@ -23,7 +23,7 @@ from .mass import adm_mass
 from .metrics import (
     GeometryError,
     metric_at,
-    metric_derivatives_at,
+    metric_jet,
     scaled,
     schwarzschild,
 )
@@ -104,9 +104,7 @@ def blow_up_window(spec, p, i, half_width=1.0, q=4):
     jet = [np.empty((len(pts),) + (n,) * (k + 2)) for k in range(3)]
     step = max(1, BLOCK_ENTRIES // n ** 4)
     for s in range(0, len(pts), step):
-        block = pts[s:s + step]
-        derivs = metric_derivatives_at(spec, block, order=2)
-        for k, d in enumerate((metric_at(spec, block), *derivs)):
+        for k, d in enumerate(metric_jet(spec, pts[s:s + step])):
             jet[k][s:s + step] = _in_frame(d, A) / i ** k
     return WindowSample(index=float(i), center=p, grid=grid, g=jet[0],
                         dg=jet[1], d2g=jet[2])
@@ -127,8 +125,7 @@ def escaping_window(spec, center, half_width=1.0, q=4):
     grid = window_grid(n, half_width, q)
     pts = center[None, :] + grid
     _check_window(spec, pts)
-    g = metric_at(spec, pts)
-    dg, d2g = metric_derivatives_at(spec, pts, order=2)
+    g, dg, d2g = metric_jet(spec, pts)
     return WindowSample(index=float(np.linalg.norm(center)), center=center,
                         grid=grid, g=g, dg=dg, d2g=d2g)
 

@@ -24,11 +24,7 @@ import numpy as np
 
 from .curvature import christoffel, ricci_tensor
 from .geometry import SphereQuadrature, sphere_chart, unit_sphere_area
-from .metrics import (
-    GeometryError,
-    metric_at,
-    metric_derivatives_at,
-)
+from .metrics import GeometryError, metric_jet
 
 __all__ = [
     "DegenerateNormal",
@@ -121,7 +117,8 @@ def _geometry_at(spec, r, x, order):
     """
     u = x / r  # the covector d|x|
     N, n = x.shape
-    g = metric_at(spec, x)
+    jet = metric_jet(spec, x, order)
+    g = jet[0]
     ginv = np.linalg.inv(g)
     normal = np.einsum("nij,nj->ni", ginv, u)
     lam2 = np.einsum("ni,ni->n", normal, u)
@@ -131,10 +128,7 @@ def _geometry_at(spec, r, x, order):
     density = np.sqrt(np.linalg.det(g)) * lam
     if order == 0:
         return density, None, None
-    if order == 1:
-        dg = metric_derivatives_at(spec, x, order=1)
-    else:
-        dg, d2g = metric_derivatives_at(spec, x, order=2)
+    dg = jet[1]
     nu = normal / lam[:, None]
     # inverse induced metric, as a tensor on the ambient space
     tangent = ginv - np.einsum("ni,nj->nij", nu, nu)
@@ -152,7 +146,7 @@ def _geometry_at(spec, r, x, order):
         return density, H, np.zeros(N)
     shape = np.einsum("nij,njk->nik", tangent, A)  # A with one index raised
     A2 = np.einsum("nij,nji->n", shape, shape)
-    ric = ricci_tensor(g, dg, d2g)
+    ric = ricci_tensor(g, dg, jet[2])
     R = np.einsum("nij,nij->n", ginv, ric)
     rho = R - 2.0 * np.einsum("nij,ni,nj->n", ric, nu, nu) + H * H - A2
     return density, H, rho

@@ -22,8 +22,8 @@ import numpy as np
 
 from .curvature import scalar_curvature
 from .geometry import SphereQuadrature
-from .mass import adm_flux, extrapolate, flux_constant
-from .metrics import GeometryError, metric_at, metric_derivatives_at
+from .mass import _decay_exponent, adm_flux, extrapolate, flux_constant
+from .metrics import GeometryError, metric_derivatives_at, metric_jet
 
 __all__ = [
     "TailNotNegligible",
@@ -81,25 +81,14 @@ def weighted_seminorm(spec, params, reference=None):
         params.radii(), symmetric, n ** (2 + params.k)
     ):
         r = np.linalg.norm(x, axis=1)
-        diff = metric_at(spec, x) - (
-            np.eye(n)[None] if reference is None else metric_at(reference, x)
-        )
-        worst = max(worst, _weighted_max(r ** params.tau, diff))
-        derivs = _derivatives(spec, x, params.k)
-        if reference is not None:
-            ref = _derivatives(reference, x, params.k)
-            derivs = [d - e for d, e in zip(derivs, ref)]
-        for order, d in enumerate(derivs, start=1):
+        jet = metric_jet(spec, x, params.k)
+        if reference is None:
+            jet[0] = jet[0] - np.eye(n)[None]
+        else:
+            jet = [d - e for d, e in zip(jet, metric_jet(reference, x, params.k))]
+        for order, d in enumerate(jet):
             worst = max(worst, _weighted_max(r ** (params.tau + order), d))
     return worst
-
-
-def _derivatives(spec, x, k):
-    """[dg, ..., d^k g] at x for k <= 2, from one metric_derivatives_at call."""
-    if k == 0:
-        return []
-    d = metric_derivatives_at(spec, x, order=k)
-    return [d] if k == 1 else list(d)
 
 
 def _weighted_max(weight, values):
@@ -164,8 +153,7 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64,
         )
         samples.append(acc)
         lo = R
-    p = max(min(n - 2, getattr(spec.family, "flux_decay_order", None) or n - 2), 1)
-    est = extrapolate(radii, samples, p)
+    est = extrapolate(radii, samples, _decay_exponent(spec))
     residual = abs(samples[-1] - est.value)
     if tail_tol is not None and residual > tail_tol:
         raise TailNotNegligible(
@@ -175,8 +163,7 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64,
 
 
 def _scalar_density(spec, pts):
-    g = metric_at(spec, pts)
-    dg, d2g = metric_derivatives_at(spec, pts, order=2)
+    g, dg, d2g = metric_jet(spec, pts)
     return scalar_curvature(g, dg, d2g) * np.sqrt(np.linalg.det(g))
 
 
@@ -203,15 +190,15 @@ def mass_matter_defect(spec, inner=None, outer=None, q=16, radial_q=96,
 
     For scalar-flat metrics the matter term vanishes and the defect is the
     mass itself; for matter concentrated in a compact shell the integral is
-    effectively complete once outer clears the support."""
+    effectively complete once outer clears the support.  The default outer
+    is twice the family's support radius, and at least 64."""
     n = spec.n
     if inner is None:
         inner = max(spec.family.inner_radius, 0.0)
         if inner == 0.0 and spec.family.excludes_origin:
             inner = 1e-8
     if outer is None:
-        bps = spec.family.radial_breakpoints
-        outer = 2.0 * max(bps) if bps else 64.0
+        outer = max(64.0, 2.0 * spec.family.support_radius())
     if mass is None:
         mass = spec.family.mass_hint
     if mass is None:

@@ -16,9 +16,10 @@ D1_COEFFS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
 def fd4_metric_derivatives(fn, x, h):
-    """First and second derivatives of a matrix field fn: (N, d) -> (N, d, d)
-    from 5-point stencils (first derivatives) and their composition (mixed
-    second derivatives), in the layout of afmass.curvature."""
+    """A matrix field fn: (N, d) -> (N, d, d) with its first and second
+    derivatives, (f0, dg, d2g) with f0 = fn(x), from 5-point stencils (first
+    derivatives) and their composition (mixed second derivatives), in the
+    layout and return order of afmass.curvature.fd_metric_derivatives."""
     x = np.asarray(x, dtype=float)
     N, d = x.shape
     f0 = fn(x)
@@ -51,12 +52,10 @@ def fd4_metric_derivatives(fn, x, h):
             mixed = mixed / h ** 2
             d2g[:, k, m] = mixed
             d2g[:, m, k] = mixed
-    return dg, d2g
+    return f0, dg, d2g
 
 
 def curvature_of_metric_fn(fn, x, h):
     """Scalar curvature of a metric given only as a function of coordinates,
     from 4th-order finite differences with step h.  Returns (N,)."""
-    x = np.asarray(x, dtype=float)
-    dg, d2g = fd4_metric_derivatives(fn, x, h)
-    return scalar_curvature(fn(x), dg, d2g)
+    return scalar_curvature(*fd4_metric_derivatives(fn, x, h))

@@ -130,9 +130,14 @@ class TestConfigValidation:
          "spec": {"n": 3, "family": "Cone2D", "params": {"alpha": 0.5}}},
         {"command": "adm-mass", "radii": [50, 100], "q": 4,
          "spec": {**SCHWARZSCHILD_N3, "derivative_mode": "bogus"}},
+        {"command": "sequence", "kind": "blow_up", "resolution": 0},
+        {"command": "sequence", "kind": "escaping", "resolution": -2},
+        {"command": "sequence", "kind": "shells", "window_L": 0},
+        {"command": "sequence", "kind": "blow_up", "window_L": -0.5},
     ], ids=["radii-number", "radii-string", "perturbation-number", "fd-step-string",
             "inner-radius-string", "scaled-base-n2", "scaled-base-n40",
-            "cone-in-n3", "derivative-mode-bogus"])
+            "cone-in-n3", "derivative-mode-bogus", "resolution-0",
+            "resolution-negative", "window-L-0", "window-L-negative"])
     def test_wrong_shape_exit_2(self, tmp_path, capsys, doc):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"

@@ -72,7 +72,8 @@ def test_fd_derivatives_match_polynomial():
 
     x = np.array([[0.4, -0.7]])
     for stencil in (fd_metric_derivatives, fd4_metric_derivatives):
-        dg, d2g = stencil(fn, x, 1e-3)
+        g, dg, d2g = stencil(fn, x, 1e-3)
+        assert np.array_equal(g, fn(x))
         # d_0 g_00 = 0.1 * 2 (A x)_0
         expect = 0.2 * (A @ x[0])[0]
         assert dg[0, 0, 0, 0] == pytest.approx(expect, abs=1e-8)
@@ -92,8 +93,8 @@ def test_order4_beats_order2_on_smooth_metric():
     x = np.array([[0.5, 0.3]])
     h = 0.05
     exact_d2 = -0.3 * np.sin(0.5) * np.cos(0.3)
-    _, d2_2 = fd_metric_derivatives(fn, x, h)
-    _, d2_4 = fd4_metric_derivatives(fn, x, h)
+    _, _, d2_2 = fd_metric_derivatives(fn, x, h)
+    _, _, d2_4 = fd4_metric_derivatives(fn, x, h)
     err2 = abs(d2_2[0, 0, 0, 0, 0] - exact_d2)
     err4 = abs(d2_4[0, 0, 0, 0, 0] - exact_d2)
     assert err4 < err2 / 10

@@ -16,6 +16,7 @@ from afmass.metrics import (
     metric_at,
     metric_derivatives_at,
     metric_from_json,
+    metric_jet,
     metric_to_json,
     scaled,
     schwarzschild,
@@ -86,6 +87,77 @@ class TestDerivativeModes:
                                   order=1)
         with pytest.raises(SingularPoint):
             metric_at(spec, np.array([0.5, 0.0, 0.0]) - offset)
+
+
+def _stencil(n):
+    """Metric evaluations per node of one mixed second-order FD stencil."""
+    return 1 + 2 * n + 2 * n * (n - 1)
+
+
+JET_MODES = {
+    "analytic": lambda: asymptotically_schwarzschild(3, 1.0, c=0.3),
+    "fd": lambda: asymptotically_schwarzschild(3, 1.0, c=0.3, derivative_mode="fd"),
+}
+
+
+class TestMetricJet:
+    @pytest.mark.parametrize("mode", sorted(JET_MODES))
+    @pytest.mark.parametrize("x", [
+        np.array([3.0, 1.0, -2.0]),
+        np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0], [-6.0, 0.2, 0.7]]),
+    ], ids=["single", "batch"])
+    def test_equals_the_two_entry_points(self, mode, x):
+        spec = JET_MODES[mode]()
+        g = metric_at(spec, x)
+        dg = metric_derivatives_at(spec, x, order=1)
+        derivs = metric_derivatives_at(spec, x, order=2)
+        expected = {0: [g], 1: [g, dg], 2: [g, *derivs]}
+        for order, want in expected.items():
+            got = metric_jet(spec, x, order)
+            assert len(got) == order + 1
+            for k, (a, b) in enumerate(zip(got, want)):
+                assert a.shape == x.shape[:-1] + (3,) * (k + 2)
+                assert np.array_equal(a, b)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(metric_jet(spec, x), expected[2]))
+
+    # order 0 is the centre alone; g of a higher order is the first centre
+    @pytest.mark.parametrize("order,per_node",
+                             [(0, 1), (1, _stencil(3)), (2, 2 * _stencil(3))])
+    def test_fd_evaluates_one_stencil_per_order(self, monkeypatch, order, per_node):
+        n, count = 3, 5
+        spec = schwarzschild(n, 1.0, derivative_mode="fd")
+        rows = []
+
+        def counting(x, fn=spec.family.metric):
+            rows.append(len(x))
+            return fn(x)
+
+        monkeypatch.setattr(spec.family, "metric", counting)
+        x = 30.0 + np.random.default_rng(0).uniform(size=(count, n))
+        metric_jet(spec, x, order)
+        assert sum(rows) == count * per_node
+
+    def test_same_errors(self):
+        with pytest.raises(SingularPoint):
+            metric_jet(schwarzschild(3, 1.0), np.zeros(3))
+        fd = schwarzschild(3, 1.0, inner_radius=1.0, derivative_mode="fd",
+                           fd_step=0.5)
+        for order in (1, 2):
+            with pytest.raises(StepTooLarge):
+                metric_jet(fd, np.array([1.2, 0.0, 0.0]), order)
+        indefinite = asymptotically_schwarzschild(3, 1.0, c=-50.0)
+        x = np.array([1.0, 0.0, 0.0])
+        for order in (0, 1, 2):
+            with pytest.raises(NotPositiveDefinite):
+                metric_jet(indefinite, x, order)
+        # derivatives are not checked, as by metric_derivatives_at
+        assert np.array_equal(metric_jet(indefinite, x, check=False)[1],
+                              metric_derivatives_at(indefinite, x)[0])
+
+    def test_rejects_other_orders(self):
+        with pytest.raises(ValueError):
+            metric_jet(schwarzschild(3, 1.0), np.array([3.0, 0.0, 0.0]), 3)
 
 
 class TestOneJet:

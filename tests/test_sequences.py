@@ -90,6 +90,37 @@ class TestBlowUpWindow:
             blow_up_window(spec, np.array([0.6, 0.0, 0.0]), 1, half_width=1.0, q=4)
 
 
+class TestOneJetPerNode:
+    """Each window node gets one order-2 jet, which holds g as well; the
+    only order-0 jet is the blow-up window's one-point centre."""
+
+    @staticmethod
+    def _record(monkeypatch, spec):
+        calls = []
+
+        def recording(x, order, fn=spec.family.jet):
+            calls.append((order, len(x)))
+            return fn(x, order)
+
+        monkeypatch.setattr(spec.family, "jet", recording)
+        return calls
+
+    def test_blow_up_window(self, monkeypatch):
+        spec = schwarzschild(4, 1.0)
+        calls = self._record(monkeypatch, spec)
+        # 4 nodes a block: 256 nodes in 64 blocks
+        monkeypatch.setattr(sequences, "BLOCK_ENTRIES", 4 * 4 ** 4)
+        blow_up_window(spec, np.array([2.0, 1.0, -0.5, 1.5]), 3, 0.5, 4)
+        assert calls[0] == (0, 1)
+        assert calls[1:] == [(2, 4)] * 64
+
+    def test_escaping_window(self, monkeypatch):
+        spec = schwarzschild(4, 1.0)
+        calls = self._record(monkeypatch, spec)
+        escaping_window(spec, np.array([20.0, 0.0, 0.0, 0.0]), 0.5, 4)
+        assert calls == [(2, 256)]
+
+
 class TestEscapingWindow:
     def test_matches_translated_metric(self):
         spec = schwarzschild(3, 1.0)
