@@ -14,8 +14,9 @@ The config document selects one command and its inputs:
 
 Commands: adm-mass, fg-profile, weighted-mass, sequence, cone-angle,
 cone-sequence.  Exit code 2 means the configuration was rejected before any
-computation (ConfigInvalid); exit code 1 means the computation itself
-failed, in which case an error report JSON is still written.
+computation (ConfigInvalid), also when it asks for more work than the
+size limits below allow; exit code 1 means the computation itself failed,
+in which case an error report JSON is still written.
 """
 
 import argparse
@@ -24,16 +25,19 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import cone as cone_mod
 from . import sequences as seq_mod
 from .mass import adm_mass, extrapolate, fg_detail
-from .metrics import GeometryError, metric_from_json
+from .metrics import metric_from_json
 from .reports import package_version, write_csv, write_json_report
 from .weighted import mass_matter_defect, mass_via_divergence
 
 __all__ = ["ConfigInvalid", "ComputationFailed", "RunConfig", "run", "main"]
+
+#: largest angular quadrature order q: leggauss(q) builds a q x q matrix
+MAX_Q = 256
+#: largest number of d2g entries, resolution^n n^4, of one sequence window
+MAX_WINDOW_ENTRIES = 2 ** 26
 
 COMMANDS = (
     "adm-mass",
@@ -73,8 +77,8 @@ class RunConfig:
         self.out_dir = out_dir
         self.q = _integer(quadrature if quadrature is not None else raw.get("q", 16),
                           "quadrature order q")
-        if self.q < 2:
-            raise ConfigInvalid("quadrature order must be >= 2")
+        if not 2 <= self.q <= MAX_Q:
+            raise ConfigInvalid(f"quadrature order must lie in 2..{MAX_Q}, got {self.q}")
         # check the shape of the inputs that handlers convert, before any
         # computation starts
         if raw.get("radii") is not None:
@@ -298,6 +302,12 @@ def _cmd_sequence(cfg):
         kw["grid_q"] = _integer(cfg.raw["resolution"], "resolution")
         if kw["grid_q"] < 1:
             raise ConfigInvalid(f"resolution must be >= 1, got {kw['grid_q']}")
+        entries = kw["grid_q"] ** n * n ** 4
+        if entries > MAX_WINDOW_ENTRIES:
+            raise ConfigInvalid(
+                f"a window of resolution {kw['grid_q']} at n = {n} holds"
+                f" {entries} d2g entries; the limit is {MAX_WINDOW_ENTRIES}"
+            )
     rep = seq_mod.run_semicontinuity_experiment(
         kind, n=n, indices=cfg.indices(default=(2, 4, 8, 16)), q=cfg.q, **kw
     )
@@ -344,9 +354,10 @@ def run(cfg):
     """Execute a validated RunConfig; writes reports into cfg.out_dir.
 
     Returns the list of written paths.  Raises ComputationFailed (after
-    writing an error report) if the computation errors out.  The output
-    directory is made only once there is a report to write, so a config
-    that a handler rejects (ConfigInvalid) leaves none behind."""
+    writing an error report) if the computation raises anything but
+    ConfigInvalid.  The output directory is made only once there is a
+    report to write, so a config that a handler rejects (ConfigInvalid)
+    leaves none behind."""
     written = []
     try:
         outputs = _DISPATCH[cfg.command](cfg)
@@ -358,7 +369,7 @@ def run(cfg):
             written.append(path)
     except ConfigInvalid:
         raise
-    except (GeometryError, ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
+    except Exception as exc:
         error_doc = {"error": type(exc).__name__, "message": str(exc)}
         os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, "error.json")

@@ -15,8 +15,8 @@ Two independent routes compute it:
 * the Gauss-Bonnet route: int_{B_r} K dA = 2 pi chi - int kappa_g ds, so
   (2 pi chi - total curvature) / (2 pi) - (chi - 1) has the same limit.
 
-K = -f''/f is the closed form; the generic Christoffel computation is kept
-as the cross-check.
+K = -f''/f is the closed form; the tests cross-check it with the generic
+Christoffel computation.
 """
 
 import math
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import scalar_curvature
 from .mass import extrapolate
-from .metrics import Family, GeometryError, MetricSpec
+from .metrics import Family, GeometryError, MetricSpec, NotPositiveDefinite
 
 __all__ = [
     "MissingCap",
@@ -144,31 +143,10 @@ def perturbed_cone(alpha, amplitude=0.1, tau=1.0, name="perturbed_cone"):
                           meta=(("perturbation", amplitude), ("tau", tau)))
 
 
-def gauss_curvature(surface, r, method="closed"):
+def gauss_curvature(surface, r):
     """Gauss curvature K(r) = -f''(r) / f(r)."""
     r = np.asarray(r, dtype=float)
-    if method == "closed":
-        return -surface.d2f(r) / surface.f(r)
-    # generic route: Christoffel symbols of dr^2 + f^2 dtheta^2
-    return _gauss_curvature_generic(surface, r)
-
-
-def _gauss_curvature_generic(surface, r):
-    # K = R / 2 via the general coordinate scalar-curvature formula in the
-    # (r, theta) chart, with analytic metric derivatives
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    f = surface.f(r)
-    df = surface.df(r)
-    d2f = surface.d2f(r)
-    N = r.shape[0]
-    g = np.zeros((N, 2, 2))
-    g[:, 0, 0] = 1.0
-    g[:, 1, 1] = f ** 2
-    dg = np.zeros((N, 2, 2, 2))
-    dg[:, 0, 1, 1] = 2.0 * f * df
-    d2g = np.zeros((N, 2, 2, 2, 2))
-    d2g[:, 0, 0, 1, 1] = 2.0 * (df ** 2 + f * d2f)
-    return 0.5 * scalar_curvature(g, dg, d2g)
+    return -surface.d2f(r) / surface.f(r)
 
 
 def geodesic_curvature_integral(surface, r):
@@ -261,7 +239,8 @@ class Cone2DFamily(Family):
     """Cartesian-chart wrapper of a conical surface (for window machinery).
 
     In coordinates x = (r cos theta, r sin theta) the metric is
-    delta + (f(r)^2/r^2 - 1) (dtheta-part); derivatives by FD."""
+    delta + (f(r)^2/r^2 - 1) (dtheta-part); derivatives by FD.  It is
+    positive definite where f != 0; NotPositiveDefinite elsewhere."""
 
     name = "Cone2D"
     excludes_origin = True
@@ -279,6 +258,10 @@ class Cone2DFamily(Family):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(x, axis=1)
         f = self.surface.f(r)
+        if np.any(f == 0.0):
+            raise NotPositiveDefinite(
+                f"{self.name}: f = 0 at r = {r[f == 0.0][:3]}"
+            )
         # radial/tangential projectors: g = P_rad + (f/r)^2 P_tan
         nhat = x / r[:, None]
         P = np.einsum("ni,nj->nij", nhat, nhat)

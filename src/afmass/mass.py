@@ -167,12 +167,12 @@ def adm_mass(spec, radii=None, q=32, p=None):
     return extrapolate(radii, [adm_flux(spec, r, q=q) for r in radii], p)
 
 
-def fg(spec, r, q=32, method="auto"):
+def fg(spec, r, q=32):
     """Quasi-local mass-type quantity of the coordinate sphere S_r."""
-    return fg_detail(spec, r, q=q, method=method)["fg"]
+    return fg_detail(spec, r, q=q)["fg"]
 
 
-def fg_detail(spec, r, q=32, method="auto", report=None):
+def fg_detail(spec, r, q=32, report=None):
     """fg(S_r) together with the sphere data entering it.
 
     Raises ZeroRhoMin when the minimal induced scalar curvature is <= 0;
@@ -182,11 +182,11 @@ def fg_detail(spec, r, q=32, method="auto", report=None):
     if n < 3:
         raise GeometryError("fg needs ambient dimension >= 3")
     if report is None:
-        report = sphere_report(spec, r, q=q, method=method)
+        report = sphere_report(spec, r, q=q)
     if report.rho_min <= 0.0:
         raise ZeroRhoMin(f"min induced scalar curvature {report.rho_min} <= 0 at r={r}")
     ratio = (n - 2.0) / (n - 1.0)
-    closed = _closed_form(spec, r, method)
+    closed = _closed_form(spec, r)
     if closed is not None:
         # closed conformal forms give maxH2/rho_min = (1 + s)^2 with
         # s = 2 r U'/((n-2) U); expanding 1 - (1+s)^2 avoids the large-r
@@ -210,19 +210,19 @@ def fg_detail(spec, r, q=32, method="auto", report=None):
     }
 
 
-def fg_limit(spec, radii, q=32, method="auto"):
+def fg_limit(spec, radii, q=32):
     """Extrapolate fg(S_r) to r = infinity with a c0 + c1/r model."""
-    return extrapolate(radii, [fg(spec, r, q=q, method=method) for r in radii], 1.0)
+    return extrapolate(radii, [fg(spec, r, q=q) for r in radii], 1.0)
 
 
-def penrose_like_check(spec, r, q=32, method="auto", mass=None):
+def penrose_like_check(spec, r, q=32, mass=None):
     """Check rho_min > ratio * maxH2 and, when it holds, fg(S_r) <= mass.
 
     mass defaults to the family's exact mass when known, else the flux
     extrapolation.  Returns a record of every quantity involved.
     """
     n = spec.n
-    report = sphere_report(spec, r, q=q, method=method)
+    report = sphere_report(spec, r, q=q)
     ratio = (n - 2.0) / (n - 1.0)
     hypothesis = report.rho_min > ratio * report.maxH2
     if mass is None:
@@ -240,7 +240,7 @@ def penrose_like_check(spec, r, q=32, method="auto", mass=None):
         "inequality_holds": None,
     }
     if hypothesis:
-        value = fg_detail(spec, r, q=q, method=method, report=report)["fg"]
+        value = fg_detail(spec, r, q=q, report=report)["fg"]
         record["fg"] = value
         record["inequality_holds"] = bool(value <= mass + 1e-12 * max(1.0, abs(mass)))
     return record

@@ -55,15 +55,15 @@ class SingularPoint(GeometryError):
 
 
 class NotPositiveDefinite(GeometryError):
-    """Evaluated metric matrix failed the symmetric factorization check."""
+    """The metric matrix is not positive definite at some point."""
 
 
 class StepTooLarge(GeometryError):
     """Finite-difference stencil exits the valid chart region."""
 
 
-class NonPositiveConformalFactor(GeometryError):
-    pass
+class NonPositiveConformalFactor(NotPositiveDefinite):
+    """A conformal factor U <= 0: U^{4/(n-2)} delta is no metric there."""
 
 
 def _as_points(x, n):
@@ -242,6 +242,11 @@ class Family:
         afmass.curvature.  A subclass overrides jet, or only metric when it
         has no analytic derivatives (order 0 then comes from metric).
 
+        g is positive definite at every point: a family raises
+        NotPositiveDefinite (or its subclass NonPositiveConformalFactor)
+        where it is not, so no caller checks g again.  Every finite
+        difference stencil evaluates metric, so it is checked too.
+
         The arrays are fresh: they share no memory with the family or with
         an earlier call, so the caller owns them and may modify them in
         place (the wrapper families scale or add into their base's jet)."""
@@ -348,6 +353,10 @@ class ConformalFamily(Family):
             )
         e = 4.0 / (self.n - 2)
         F = [u ** e]
+        if F[0].min() == 0.0:
+            raise NotPositiveDefinite(
+                f"{self.name}: U^{e:g} underflows to 0 at {x[F[0] == 0.0][:3]}"
+            )
         if order >= 1:
             f1 = e * u ** (e - 1.0)
             F.append(f1[:, None] * jet[1])
@@ -392,6 +401,9 @@ class AsymptoticallySchwarzschildFamily(Family):
         self.B = B
         # the entries (i, j) where c w B adds to the base's jet
         self._nonzero = tuple(zip(*np.nonzero(B)))
+        # g = F I + c w B with w > 0 has lowest eigenvalue F + w lowest; with
+        # c B positive semidefinite (lowest = 0) F > 0 suffices
+        self._lowest = min(0.0, float(np.linalg.eigvalsh(c * B)[0]))
         self.flux_decay_order = 1.0
         self.mass_hint = float(m)
         self.inner_radius = inner_radius
@@ -412,6 +424,13 @@ class AsymptoticallySchwarzschildFamily(Family):
                 * np.einsum("nk,nl->nkl", x, x)
             )
         jet = self.base.jet(x, order)
+        if self._lowest < 0.0:
+            bad = jet[0][:, 0, 0] + w[0] * self._lowest <= 0.0
+            if np.any(bad):
+                raise NotPositiveDefinite(
+                    f"{self.name}: metric not positive definite at {x[bad][:3]}"
+                    f" (c = {self.c})"
+                )
         for d, wk in zip(jet, w):
             cw = self.c * wk
             for i, j in self._nonzero:
@@ -597,14 +616,15 @@ def translated(base, offset, **kw):
     return MetricSpec(TranslatedFamily(base, offset), **kw)
 
 
-def metric_jet(spec, x, order=2, check=True):
+def metric_jet(spec, x, order=2):
     """[g, dg, d2g][:order + 1] at x; batched if x is (N, n).
 
     Order 0 is the family's metric, analytic orders come from one family
     jet, and in fd mode each derivative order is one central stencil whose
-    first centre is g.  Raises SingularPoint outside the valid chart
-    region, StepTooLarge when a stencil leaves it and, with check set,
-    NotPositiveDefinite when g fails Cholesky.
+    first centre is g; with an explicit fd_step both orders share one
+    stencil.  Raises SingularPoint outside the valid chart region,
+    StepTooLarge when a stencil leaves it and NotPositiveDefinite where the
+    family's g is not positive definite (see Family.jet).
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -617,17 +637,10 @@ def metric_jet(spec, x, order=2, check=True):
         jet = family.jet(pts, order)
     else:
         h1, h2 = _fd_steps(spec, pts)
-        _check_stencil(spec, pts, 2.0 * max(h1, h2))
-        jet = list(fd_metric_derivatives(family.metric, pts, h1)[:2])
-        if order == 2:
-            jet.append(fd_metric_derivatives(family.metric, pts, h2)[2])
-    if check:
-        try:
-            np.linalg.cholesky(jet[0])
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                f"{family.name}: metric not positive definite"
-            ) from None
+        _check_stencil(spec, pts, 2.0 * (h1 if order == 1 else max(h1, h2)))
+        jet = list(fd_metric_derivatives(family.metric, pts, h1)[:order + 1])
+        if order == 2 and h2 != h1:
+            jet[2] = fd_metric_derivatives(family.metric, pts, h2)[2]
     return [d[0] for d in jet] if single else jet
 
 
@@ -643,7 +656,7 @@ def metric_derivatives_at(spec, x, order=2):
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    derivs = metric_jet(spec, x, order, check=False)[1:]
+    derivs = metric_jet(spec, x, order)[1:]
     return derivs[0] if order == 1 else tuple(derivs)
 
 

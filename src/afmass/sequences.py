@@ -90,11 +90,9 @@ def blow_up_window(spec, p, i, half_width=1.0, q=4):
     factors 1/i and 1/i^2, so ghat -> flat in C^2 at rate 1/i."""
     n = spec.n
     p = np.asarray(p, dtype=float)
-    gp = metric_at(spec, p)
-    # g(p)^{-1/2} from the eigendecomposition of the symmetric g(p)
-    lam, V = np.linalg.eigh(gp)
-    if lam[0] <= 0.0:
-        raise GeometryError(f"metric at the window center {p} is not positive definite")
+    # g(p)^{-1/2} from the eigendecomposition of g(p), positive definite by
+    # the family's contract
+    lam, V = np.linalg.eigh(metric_at(spec, p))
     A = (V / np.sqrt(lam)) @ V.T
     A = 0.5 * (A + A.T)
     grid = window_grid(n, half_width, q)

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 MIN_SUPPORT_NODES = 32
+# support [lo, hi] of the default density; member i is supported in i [lo, hi]
+_SUPPORT = (0.5, 1.0)
 
 
 class GridTooCoarse(GeometryError):
@@ -80,7 +82,7 @@ def default_shell_density(n):
     def rho(s):
         return bump(s) / norm
 
-    return ShellDensity(rho=rho, lo=0.5, hi=1.0)
+    return ShellDensity(rho=rho, lo=_SUPPORT[0], hi=_SUPPORT[1])
 
 
 def _charge_function(n, density, i, radial_q=80):
@@ -113,7 +115,7 @@ def _charge_function(n, density, i, radial_q=80):
     return Q, float(Q(hi)), panel
 
 
-def solve_shell_potential(n, i, density=None, radial_q=80):
+def solve_shell_potential(n, i, radial_q=80):
     """RadialProfile u_i = 1 + v_i with -Delta v_i = rho_i, v_i(inf) = 0.
 
     Newton's shell theorem: integrating v(r) = int_r^inf s^{1-n} Q(s) ds by
@@ -127,8 +129,7 @@ def solve_shell_potential(n, i, density=None, radial_q=80):
     max(r, lo) in place of r keeps 0 * inf out of it (also in v' and v'')."""
     if n < 3:
         raise ValueError("need n >= 3 for a decaying potential")
-    if density is None:
-        density = default_shell_density(n)
+    density = default_shell_density(n)
     lo, hi = i * density.lo, i * density.hi
     Q, q_inf, panel = _charge_function(n, density, i, radial_q=radial_q)
     tail = q_inf / (n - 2)
@@ -160,42 +161,35 @@ def solve_shell_potential(n, i, density=None, radial_q=80):
     )
 
 
-def shell_tail_coefficient(n, density=None):
+def shell_tail_coefficient(n):
     """Tail coefficient a with v_i = a r^{2-n} past the support.
 
     Independent of i: the scaling preserves the total integral, so
-    a = total / ((n-2) omega_{n-1}) = 1 / ((n-2) omega_{n-1}) for the
-    default unit-mass density."""
-    if density is None:
-        return 1.0 / ((n - 2) * unit_sphere_area(n))
-    _, q_inf, _ = _charge_function(n, density, 1)
-    return q_inf / (n - 2)
+    a = 1 / ((n-2) omega_{n-1}) for the unit-mass density."""
+    return 1.0 / ((n - 2) * unit_sphere_area(n))
 
 
-def shell_mass(n, density=None):
+def shell_mass(n):
     """Total mass of every member of the shell sequence: 2a."""
-    return 2.0 * shell_tail_coefficient(n, density)
+    return 2.0 * shell_tail_coefficient(n)
 
 
-def shell_metric(n, i, density=None, radial_q=80, **kw):
+def shell_metric(n, i, radial_q=80, **kw):
     """MetricSpec of the i-th shell metric u_i^{4/(n-2)} delta."""
-    if density is None:
-        density = default_shell_density(n)
-    profile = solve_shell_potential(n, i, density=density, radial_q=radial_q)
+    profile = solve_shell_potential(n, i, radial_q=radial_q)
     return MetricSpec(ConformalFamily(
         n, profile, "ShellConformal", {"i": i},
-        radial_breakpoints=(i * density.lo, i * density.hi),
+        radial_breakpoints=(i * _SUPPORT[0], i * _SUPPORT[1]),
     ), **kw)
 
 
-def shell_matter_coupling(n, i, density=None, radial_q=96):
+def shell_matter_coupling(n, i, radial_q=96):
     """c_n int R dV_g = (2 / ((n-2) omega_{n-1})) int u_i rho_i dx.
 
     Uses the conformal transformation of scalar curvature for harmonic-plus-
     source factors; reduces to a 1-d integral over the support."""
-    if density is None:
-        density = default_shell_density(n)
-    profile = solve_shell_potential(n, i, density=density, radial_q=radial_q)
+    density = default_shell_density(n)
+    profile = solve_shell_potential(n, i, radial_q=radial_q)
     lo, hi = i * density.lo, i * density.hi
     xg, wg = np.polynomial.legendre.leggauss(radial_q)
     s = 0.5 * (hi - lo) * (xg + 1.0) + lo

@@ -11,10 +11,11 @@ lambda = |N|_g and nu = g^{-1} N / lambda the outward unit normal:
 * intrinsic scalar curvature: the Gauss equation
   rho = R - 2 Ric(nu, nu) + H^2 - |A|^2.
 
-Closed conformal formulas for metrics U^{4/(n-2)} delta with U radial
-(constant on each sphere) are the default for those families under
-method='auto' and serve as the independent oracle for the generic route in
-the test suite.
+The pointwise functions always take the generic route.  The sphere-wide
+sphere_area and sphere_report use the closed conformal formulas whenever
+the family has a radial profile U (g = U^{4/(n-2)} delta, U constant on
+each sphere); the formulas are also the test suite's oracle for the
+generic route.
 """
 
 import math
@@ -95,10 +96,10 @@ def conformal_sphere_scalar_curvature(n, r, u_value):
     return u_value ** (-4.0 / (n - 2)) * (n - 1) * (n - 2) / r ** 2
 
 
-def _closed_form(spec, r, method):
+def _closed_form(spec, r):
     """(U(r), U'(r)) when the closed conformal formulas apply, else None."""
     profile = spec.family.radial_profile
-    if method != "auto" or profile is None or spec.n < 3:
+    if profile is None or spec.n < 3:
         return None
     rr = np.array([float(r)])
     return float(profile.positive_u(rr)[0]), float(profile.du(rr)[0])
@@ -152,57 +153,42 @@ def _geometry_at(spec, r, x, order):
     return density, H, rho
 
 
-def sphere_area(spec, r, q=32, method="auto"):
-    """Area of S_r by angular quadrature of the coarea density."""
+def sphere_area(spec, r, q=32):
+    """Area of S_r: the closed conformal form for a radial profile, else
+    angular quadrature of the coarea density."""
     n = spec.n
-    closed = _closed_form(spec, r, method)
+    closed = _closed_form(spec, r)
     if closed is not None:
         return conformal_sphere_area(n, r, closed[0])
     # for a rotationally symmetric metric the density is constant on S_r
-    symmetric = method == "auto" and spec.family.rotationally_symmetric
     return sum(
         float(np.dot(w, _geometry_at(spec, r, x, 0)[0]))
-        for x, w in SphereQuadrature(n, q).sample([r], symmetric, n * n)
+        for x, w in SphereQuadrature(n, q).sample(
+            [r], spec.family.rotationally_symmetric, n * n)
     )
 
 
-def mean_curvature_at(spec, r, phi, method="auto"):
-    """Mean curvature of S_r, positive for round spheres in flat space.
-
-    Generic route: the trace of the second fundamental form of the level
-    set {|x| = r}; the conformal closed form is used for radial conformal
-    families unless method='generic'.
-    """
-    n = spec.n
-    phi, single = _as_angles(phi, n)
-    closed = _closed_form(spec, r, method)
-    if closed is not None:
-        H = np.full(phi.shape[0], conformal_mean_curvature(n, r, *closed))
-    else:
-        H = _geometry_at(spec, r, r * sphere_chart(phi), 1)[1]
+def mean_curvature_at(spec, r, phi):
+    """Mean curvature of S_r, positive for round spheres in flat space:
+    the trace of the second fundamental form of the level set {|x| = r}."""
+    phi, single = _as_angles(phi, spec.n)
+    H = _geometry_at(spec, r, r * sphere_chart(phi), 1)[1]
     return float(H[0]) if single else H
 
 
-def intrinsic_scalar_curvature_at(spec, r, phi, method="auto"):
-    """Scalar curvature of (S_r, gamma) at the given angles.
-
-    Generic route: the Gauss equation at each point; the conformal closed
-    form is used for radial conformal families unless method='generic'.
-    """
-    n = spec.n
-    phi, single = _as_angles(phi, n)
-    closed = _closed_form(spec, r, method)
-    if closed is not None:
-        rho = np.full(phi.shape[0], conformal_sphere_scalar_curvature(n, r, closed[0]))
-    else:
-        rho = _geometry_at(spec, r, r * sphere_chart(phi), 2)[2]
+def intrinsic_scalar_curvature_at(spec, r, phi):
+    """Scalar curvature of (S_r, gamma) at the given angles, by the Gauss
+    equation at each point."""
+    phi, single = _as_angles(phi, spec.n)
+    rho = _geometry_at(spec, r, r * sphere_chart(phi), 2)[2]
     return float(rho[0]) if single else rho
 
 
-def sphere_report(spec, r, q=32, method="auto"):
-    """Area plus node extrema of H and the induced scalar curvature."""
+def sphere_report(spec, r, q=32):
+    """Area plus node extrema of H and the induced scalar curvature: the
+    closed conformal forms for a radial profile, else the node geometry."""
     n = spec.n
-    closed = _closed_form(spec, r, method)
+    closed = _closed_form(spec, r)
     if closed is not None:
         area = conformal_sphere_area(n, r, closed[0])
         H = conformal_mean_curvature(n, r, *closed)
@@ -211,15 +197,15 @@ def sphere_report(spec, r, q=32, method="auto"):
             r=float(r), area=area, H_min=H, H_max=H, maxH2=H * H,
             rho_min=rho, rho_max=rho, q=q,
         )
-    # one node stands for the sphere of a rotationally symmetric metric
-    symmetric = method == "auto" and spec.family.rotationally_symmetric
     area = 0.0
     H_min = math.inf
     H_max = -math.inf
     maxH2 = 0.0
     rho_min = math.inf
     rho_max = -math.inf
-    for x, w in SphereQuadrature(n, q).sample([r], symmetric, n ** 4):
+    # one node stands for the sphere of a rotationally symmetric metric
+    for x, w in SphereQuadrature(n, q).sample(
+            [r], spec.family.rotationally_symmetric, n ** 4):
         density, H, rho = _geometry_at(spec, r, x, 2)
         area += float(np.dot(w, density))
         H_min = min(H_min, float(H.min()))

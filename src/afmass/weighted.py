@@ -23,10 +23,9 @@ import numpy as np
 from .curvature import scalar_curvature
 from .geometry import SphereQuadrature
 from .mass import _decay_exponent, adm_flux, extrapolate, flux_constant
-from .metrics import GeometryError, metric_derivatives_at, metric_jet
+from .metrics import metric_derivatives_at, metric_jet
 
 __all__ = [
-    "TailNotNegligible",
     "WeightedNormParams",
     "DefectReport",
     "weighted_seminorm",
@@ -36,10 +35,6 @@ __all__ = [
     "mass_matter_defect",
     "radial_panels",
 ]
-
-
-class TailNotNegligible(GeometryError):
-    """Truncated volume integral still carries a non-trivial tail."""
 
 
 @dataclass(frozen=True)
@@ -126,8 +121,7 @@ def _volume_quadrature(spec, fn, inner, outer, q, radial_q=64):
     return total
 
 
-def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64,
-                        tail_tol=None):
+def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64):
     """Total mass through the divergence form of the flux integral.
 
     Evaluates flux(inner) + c_n * int D(g) over annuli out to R for
@@ -153,13 +147,7 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64,
         )
         samples.append(acc)
         lo = R
-    est = extrapolate(radii, samples, _decay_exponent(spec))
-    residual = abs(samples[-1] - est.value)
-    if tail_tol is not None and residual > tail_tol:
-        raise TailNotNegligible(
-            f"residual {residual:.3e} beyond R={outer} exceeds {tail_tol}"
-        )
-    return est
+    return extrapolate(radii, samples, _decay_exponent(spec))
 
 
 def _scalar_density(spec, pts):

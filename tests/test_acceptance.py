@@ -94,10 +94,10 @@ def _area_averaged_sphere_curvatures(spec, r, q):
     phi, w = quad.full_grid()
     weights = w * flat_angular_density(phi)
     H = np.array(
-        [mean_curvature_at(spec, r, p, method="generic") for p in phi]
+        [mean_curvature_at(spec, r, p) for p in phi]
     )
     rho = np.array(
-        [intrinsic_scalar_curvature_at(spec, r, p, method="generic") for p in phi]
+        [intrinsic_scalar_curvature_at(spec, r, p) for p in phi]
     )
     total = weights.sum()
     return float(np.dot(weights, H) / total), float(np.dot(weights, rho) / total)
@@ -236,9 +236,9 @@ def test_criterion_8a_conformal_oracle_equivalence():
         du = float(spec.family.radial_profile.du(np.array([r]))[0])
         H_exact = conformal_mean_curvature(n, r, u, du)
         rho_exact = conformal_sphere_scalar_curvature(n, r, u)
-        H_gen = mean_curvature_at(spec, r, phi, method="generic")
+        H_gen = mean_curvature_at(spec, r, phi)
         assert abs(H_gen / H_exact - 1.0) < 1e-8, (n, r)
-        rho_gen = intrinsic_scalar_curvature_at(spec, r, phi, method="generic")
+        rho_gen = intrinsic_scalar_curvature_at(spec, r, phi)
         assert abs(rho_gen / rho_exact - 1.0) < 1e-8, (n, r)
 
 

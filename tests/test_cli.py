@@ -77,6 +77,33 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"command": "explode"})
         assert main(["--config", cfg]) == 2
 
+    def test_quadrature_flag_limit_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass", "spec": SCHWARZSCHILD_N3, "radii": [50, 100],
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quadrature", "257"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+        assert RunConfig({"command": "adm-mass"}, quadrature=256).q == 256
+
+    @pytest.mark.parametrize("n,resolution", [(7, 4), (3, 93)])
+    def test_window_limit_admits(self, tmp_path, monkeypatch, n, resolution):
+        # resolution^n n^4 <= 2^26: the window reaches the experiment
+        import afmass.sequences
+
+        seen = []
+
+        def stub(kind, **kw):
+            seen.append(kw["grid_q"])
+            raise ValueError("stopped before any window is built")
+
+        monkeypatch.setattr(afmass.sequences, "run_semicontinuity_experiment", stub)
+        cfg = write_config(tmp_path, {"command": "sequence", "kind": "escaping",
+                                      "n": n, "resolution": resolution})
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert seen == [resolution]
+
     def test_decreasing_radii_rejected(self):
         with pytest.raises(ConfigInvalid):
             RunConfig({"command": "adm-mass", "radii": [100, 50]}).radii()
@@ -103,7 +130,12 @@ class TestConfigValidation:
         {"command": "sequence", "kind": "blow_up", "n": 2},
         {"command": "adm-mass", "radii": [50, 100], "q": 4,
          "spec": {"n": 9, "family": "Schwarzschild", "params": {"m": 1.0}}},
-    ], ids=["shells-index-0", "blow_up-n2", "adm-mass-n9"])
+        {"command": "adm-mass", "radii": [50, 100], "q": 257,
+         "spec": SCHWARZSCHILD_N3},
+        {"command": "sequence", "kind": "shells", "n": 3, "resolution": 1000},
+        {"command": "sequence", "kind": "blow_up", "n": 7, "resolution": 5},
+    ], ids=["shells-index-0", "blow_up-n2", "adm-mass-n9", "q-257",
+            "window-n3-resolution-1000", "window-n7-resolution-5"])
     def test_out_of_range_exit_2(self, tmp_path, capsys, doc):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -194,6 +226,38 @@ class TestComputationFailure:
         assert main(["--config", cfg, "--out", str(out)]) == 1
         assert sorted(os.listdir(out)) == ["error.json"]
         assert load_strict(out / "error.json")["result"]["error"] == "OverflowError"
+
+    def test_indefinite_metric_exit_1(self, tmp_path):
+        # g = 1.5^4 I - 25 e1 e1 at (1, 0, 0): no flux mass of it
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass",
+            "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                     "params": {"m": 1.0, "c": -50.0}},
+            "radii": [1.0, 2.0, 4.0],
+            "q": 8,
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["error.json"]
+        err = load_strict(out / "error.json")["result"]
+        assert err["error"] == "NotPositiveDefinite"
+
+    @pytest.mark.parametrize("exc", [KeyError, MemoryError])
+    def test_any_handler_exception_exit_1(self, tmp_path, monkeypatch, capsys, exc):
+        import afmass.cli
+
+        def failing(cfg):
+            raise exc("handler failed")
+
+        monkeypatch.setitem(afmass.cli._DISPATCH, "adm-mass", failing)
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass", "spec": SCHWARZSCHILD_N3, "radii": [50, 100],
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert "computation failed:" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["error.json"]
+        assert load_strict(out / "error.json")["result"]["error"] == exc.__name__
 
     def test_nan_result_exit_1(self, tmp_path):
         # m = 1e400 parses as inf; the flux of that metric is NaN

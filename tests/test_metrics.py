@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from afmass.curvature import scalar_curvature
 from afmass.metrics import (
     NotPositiveDefinite,
+    RadialProfile,
     SingularPoint,
     StepTooLarge,
     asymptotically_schwarzschild,
@@ -146,14 +147,43 @@ class TestMetricJet:
         for order in (1, 2):
             with pytest.raises(StepTooLarge):
                 metric_jet(fd, np.array([1.2, 0.0, 0.0]), order)
-        indefinite = asymptotically_schwarzschild(3, 1.0, c=-50.0)
+        # g = 1.5^4 I - 25 e1 e1 at x = (1, 0, 0)
         x = np.array([1.0, 0.0, 0.0])
-        for order in (0, 1, 2):
-            with pytest.raises(NotPositiveDefinite):
-                metric_jet(indefinite, x, order)
-        # derivatives are not checked, as by metric_derivatives_at
-        assert np.array_equal(metric_jet(indefinite, x, check=False)[1],
-                              metric_derivatives_at(indefinite, x)[0])
+        for mode in ("analytic", "fd"):
+            indefinite = asymptotically_schwarzschild(3, 1.0, c=-50.0,
+                                                      derivative_mode=mode)
+            for order in (0, 1, 2):
+                with pytest.raises(NotPositiveDefinite):
+                    metric_jet(indefinite, x, order)
+            # the family checks g, so the derivatives alone are checked too
+            for order in (1, 2):
+                with pytest.raises(NotPositiveDefinite):
+                    metric_derivatives_at(indefinite, x, order)
+
+    def test_fd_stencil_reach_per_order(self):
+        # order 1 reaches 2 h1 = 1.2e-5 past x, order 2 reaches 2 h2 = 2.4e-4
+        spec = schwarzschild(3, 1.0, inner_radius=1.0, derivative_mode="fd")
+        x = np.array([1.0 + 1e-4, 0.0, 0.0])
+        dg = metric_jet(spec, x, 1)[1]
+        assert dg.shape == (3, 3, 3) and np.all(np.isfinite(dg))
+        with pytest.raises(StepTooLarge):
+            metric_jet(spec, x, 2)
+
+    def test_fd_explicit_step_evaluates_one_stencil(self, monkeypatch):
+        # h1 == h2: g, dg and d2g all come from one stencil
+        spec = schwarzschild(3, 1.0, derivative_mode="fd", fd_step=1e-4)
+        rows = []
+
+        def counting(x, fn=spec.family.metric):
+            rows.append(len(x))
+            return fn(x)
+
+        monkeypatch.setattr(spec.family, "metric", counting)
+        jet = metric_jet(spec, np.array([30.0, 1.0, -2.0]), 2)
+        assert sum(rows) == _stencil(3) == 19
+        analytic = metric_jet(schwarzschild(3, 1.0), np.array([30.0, 1.0, -2.0]), 2)
+        assert np.allclose(jet[1], analytic[1], atol=1e-9)
+        assert np.allclose(jet[2], analytic[2], atol=1e-6)
 
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):
@@ -243,6 +273,57 @@ class TestJetInPlace:
             d += 1.0
         for d, k in zip(spec.family.jet(x, 2), kept):
             assert np.array_equal(d, k)
+
+
+class TestPositiveDefinite:
+    """Each family's jet keeps g positive definite or raises."""
+
+    def test_conformal_factor_underflow(self):
+        # U = 1e-100 > 0, but U^4 underflows to 0
+        prof = RadialProfile(
+            u=lambda r: np.full_like(r, 1e-100),
+            du=lambda r: np.zeros_like(r),
+            d2u=lambda r: np.zeros_like(r),
+        )
+        with pytest.raises(NotPositiveDefinite):
+            metric_at(conformally_flat(3, prof), np.array([2.0, 0.0, 0.0]))
+
+    def test_asymptotically_schwarzschild_matches_eigenvalues(self):
+        # the check is exactly "lowest eigenvalue of g > 0"
+        direction = _random_direction(3)
+        x = _jet_points(3, count=200, seed=8)
+        for c in (-40.0, -10.0, 10.0, 40.0):
+            spec = asymptotically_schwarzschild(3, 1.0, c=c, direction=direction)
+            family = spec.family
+            g = family.base.jet(x, 0)[0] + c * (
+                (1.0 + np.einsum("ni,ni->n", x, x)) ** -1.0
+            )[:, None, None] * family.B
+            lowest = np.linalg.eigvalsh(g)[:, 0]
+            good = lowest > 1e-12
+            assert 0 < good.sum() < len(x)
+            assert np.allclose(family.jet(x[good], 0)[0], g[good])
+            for p in x[lowest < -1e-12]:
+                with pytest.raises(NotPositiveDefinite):
+                    family.jet(p[None], 0)
+
+    def test_wrappers_inherit_the_check(self):
+        # both points are the base's x = (1, 0, 0)
+        base = asymptotically_schwarzschild(3, 1.0, c=-50.0)
+        for spec, x in ((scaled(base, 2.0), [2.0, 0.0, 0.0]),
+                        (translated(base, [1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])):
+            with pytest.raises(NotPositiveDefinite):
+                metric_jet(spec, np.array(x), 1)
+
+    def test_cone_rejects_f_zero(self):
+        from afmass.cone import ConicalSurface, cone_metric_spec
+
+        # f vanishes on the circle r = 2
+        surface = ConicalSurface(f=lambda r: r * (r - 2.0), df=lambda r: 2.0 * r - 2.0,
+                                 d2f=lambda r: 2.0 + 0.0 * r, alpha=1.0)
+        spec = cone_metric_spec(surface)
+        with pytest.raises(NotPositiveDefinite):
+            metric_at(spec, np.array([2.0, 0.0]))
+        assert metric_at(spec, np.array([3.0, 0.0])).shape == (2, 2)
 
 
 class TestPointChecks:

@@ -11,6 +11,7 @@ from afmass.metrics import (
     conformally_flat,
     metric_at,
     schwarzschild,
+    translated,
 )
 from afmass.spheres import (
     conformal_mean_curvature,
@@ -30,25 +31,33 @@ ORACLE_N5 = dict(area=7022.053436857589, H=0.9592642756586439,
                  rho=0.7346549680828541)
 
 
+def _radial_factor(spec, r):
+    """(U(r), U'(r)) of a family's radial profile."""
+    profile = spec.family.radial_profile
+    return tuple(float(f(np.array([r]))[0]) for f in (profile.u, profile.du))
+
+
 class TestEuclideanSpheres:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_mean_curvature(self, n):
         spec = euclidean(n)
         phi = np.array([[0.7] * (n - 1), [1.2] + [0.4] * (n - 2)])
-        H = mean_curvature_at(spec, 5.0, phi, method="generic")
+        H = mean_curvature_at(spec, 5.0, phi)
         assert np.allclose(H, (n - 1) / 5.0, rtol=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_intrinsic_curvature(self, n):
         spec = euclidean(n)
         phi = np.array([[0.9] * (n - 1)])
-        rho = intrinsic_scalar_curvature_at(spec, 5.0, phi, method="generic")
+        rho = intrinsic_scalar_curvature_at(spec, 5.0, phi)
         assert rho == pytest.approx((n - 1) * (n - 2) / 25.0, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_area(self, n):
         spec = euclidean(n)
-        assert sphere_area(spec, 3.0, q=24, method="generic") == pytest.approx(
+        # the translated chart has no radial profile: the quadrature runs
+        grid = translated(spec, np.zeros(n))
+        assert sphere_area(grid, 3.0, q=24) == pytest.approx(
             unit_sphere_area(n) * 3.0 ** (n - 1), rel=1e-10
         )
 
@@ -73,6 +82,10 @@ class TestSchwarzschildOracles:
         assert intrinsic_scalar_curvature_at(spec, 10.0, phi) == pytest.approx(
             ORACLE_N3["rho"], rel=1e-13
         )
+        # the report takes the closed forms
+        rep = sphere_report(spec, 10.0)
+        assert rep.H_min == rep.H_max == pytest.approx(ORACLE_N3["H"], rel=1e-13)
+        assert rep.rho_min == pytest.approx(ORACLE_N3["rho"], rel=1e-13)
 
     def test_closed_form_values_n5(self):
         spec = schwarzschild(5, 2.0)
@@ -84,15 +97,19 @@ class TestSchwarzschildOracles:
         assert intrinsic_scalar_curvature_at(spec, 4.0, phi) == pytest.approx(
             ORACLE_N5["rho"], rel=1e-13
         )
+        # the report takes the closed forms
+        rep = sphere_report(spec, 4.0)
+        assert rep.H_min == rep.H_max == pytest.approx(ORACLE_N5["H"], rel=1e-13)
+        assert rep.rho_min == pytest.approx(ORACLE_N5["rho"], rel=1e-13)
 
     def test_generic_route_matches_closed_form(self):
         spec = schwarzschild(3, 1.0)
         phi = np.array([[0.9, 1.3]])
-        Hg = mean_curvature_at(spec, 10.0, phi, method="generic")[0]
+        Hg = mean_curvature_at(spec, 10.0, phi)[0]
         assert Hg == pytest.approx(ORACLE_N3["H"], rel=1e-10)
-        rg = intrinsic_scalar_curvature_at(spec, 10.0, phi, method="generic")[0]
+        rg = intrinsic_scalar_curvature_at(spec, 10.0, phi)[0]
         assert rg == pytest.approx(ORACLE_N3["rho"], rel=1e-8)
-        ag = sphere_area(spec, 10.0, q=24, method="generic")
+        ag = sphere_area(translated(spec, np.zeros(3)), 10.0, q=24)
         assert ag == pytest.approx(ORACLE_N3["area"], rel=1e-10)
 
 
@@ -103,17 +120,18 @@ class TestPoles:
         phi = np.array([[0.0] + [0.7] * (n - 2), [math.pi] + [0.4] * (n - 2)])
         r = 6.0
         flat = euclidean(n)
-        H = mean_curvature_at(flat, r, phi, method="generic")
-        rho = intrinsic_scalar_curvature_at(flat, r, phi, method="generic")
+        H = mean_curvature_at(flat, r, phi)
+        rho = intrinsic_scalar_curvature_at(flat, r, phi)
         assert np.allclose(H, (n - 1) / r, rtol=1e-12, atol=0.0)
         assert np.allclose(rho, (n - 1) * (n - 2) / r ** 2, rtol=1e-12, atol=0.0)
         spec = schwarzschild(n, 1.5)
-        H = mean_curvature_at(spec, r, phi, method="generic")
-        rho = intrinsic_scalar_curvature_at(spec, r, phi, method="generic")
-        assert np.allclose(H, mean_curvature_at(spec, r, phi), rtol=1e-12, atol=0.0)
-        assert np.allclose(
-            rho, intrinsic_scalar_curvature_at(spec, r, phi), rtol=1e-12, atol=0.0
-        )
+        H = mean_curvature_at(spec, r, phi)
+        rho = intrinsic_scalar_curvature_at(spec, r, phi)
+        u, du = _radial_factor(spec, r)
+        assert np.allclose(H, conformal_mean_curvature(n, r, u, du),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(rho, conformal_sphere_scalar_curvature(n, r, u),
+                           rtol=1e-12, atol=0.0)
 
 
 def _pullback_area_density(spec, r, phi):
@@ -141,7 +159,7 @@ class TestChartFreeOracles:
         # int_{S_r} rho dA = 4 pi chi(S^2) = 8 pi for every metric at n = 3
         spec = NON_SYMMETRIC_N3[name]
         phi, w = SphereQuadrature(3, 16).full_grid()
-        rho = intrinsic_scalar_curvature_at(spec, r, phi, method="generic")
+        rho = intrinsic_scalar_curvature_at(spec, r, phi)
         total = float(np.dot(w, rho * _pullback_area_density(spec, r, phi)))
         assert total == pytest.approx(8.0 * math.pi, rel=1e-10)
 
@@ -157,7 +175,7 @@ class TestSphereReport:
     def test_symmetric_fast_path_matches_generic(self):
         spec = schwarzschild(3, 1.0)
         fast = sphere_report(spec, 10.0, q=16)
-        slow = sphere_report(spec, 10.0, q=16, method="generic")
+        slow = sphere_report(translated(spec, np.zeros(3)), 10.0, q=16)
         assert fast.area == pytest.approx(slow.area, rel=1e-9)
         assert fast.H_max == pytest.approx(slow.H_max, rel=1e-9)
         assert fast.rho_min == pytest.approx(slow.rho_min, rel=1e-6)
