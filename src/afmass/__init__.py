@@ -14,6 +14,10 @@ Library layout:
 * ``cli``        the ``afmass`` command-line tool
 """
 
+# the one source of the version: pyproject.toml reads it, and every report
+# carries it (reports.package_version)
+__version__ = "0.1.0"
+
 from .cone import (
     ConicalSurface,
     capped_cone,
@@ -49,6 +53,7 @@ from .metrics import (
     euclidean,
     harmonic_dipole_field,
     harmonically_flat,
+    mass_vector,
     metric_at,
     metric_derivatives_at,
     metric_from_json,

@@ -50,8 +50,12 @@ def ricci_tensor(g, dg, d2g):
     with u = g^{-1}(tr M / 2 - w).  g^{-1} is contracted into d2g directly,
     so no other array of d2g's size is built.
     """
-    N, d = g.shape[:2]
-    ginv = np.linalg.inv(g)
+    return _ricci_from_inverse(np.linalg.inv(g), dg, d2g)
+
+
+def _ricci_from_inverse(ginv, dg, d2g):
+    """ricci_tensor given g^{-1}, for callers that already hold it."""
+    N, d = ginv.shape[:2]
     low = _lowered_christoffel(dg)
     gamma = _raise_first(ginv, low)
     m = ginv[:, None] @ dg
@@ -75,8 +79,8 @@ def ricci_tensor(g, dg, d2g):
 
 def scalar_curvature(g, dg, d2g):
     """Scalar curvature R = g^{jk} R_jk.  Returns (N,)."""
-    ric = ricci_tensor(g, dg, d2g)
-    return np.einsum("njk,njk->n", np.linalg.inv(g), ric)
+    ginv = np.linalg.inv(g)
+    return np.einsum("njk,njk->n", ginv, _ricci_from_inverse(ginv, dg, d2g))
 
 
 def fd_metric_derivatives(fn, x, h):

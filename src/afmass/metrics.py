@@ -3,6 +3,8 @@
 Each metric family evaluates the matrix g_ij(x) and, where closed forms
 exist, its first and second coordinate derivatives, batched over points:
 an analytic family writes one `jet`, an fd-only family only `metric`.
+The flux functionals take the mass vector V_j = d_i g_ij - d_j g_ii
+(mass_vector), which a family with a closed form writes without the jet.
 Specs are immutable; evaluation is pure.
 
 Conformally flat metrics g = U^{4/(n-2)} delta are the workhorse, all of
@@ -41,6 +43,7 @@ __all__ = [
     "metric_jet",
     "metric_at",
     "metric_derivatives_at",
+    "mass_vector",
     "metric_to_json",
     "metric_from_json",
 ]
@@ -209,6 +212,25 @@ def harmonic_dipole_field(n, a, b):
 # families
 
 
+def _trace_mass_vector(derivs):
+    """[V, div V] from [dg, d2g] (or [dg]): V_j = d_i g_ij - d_j g_ii and
+    div V = d_i d_j g_ij - d_j d_j g_ii."""
+    out = [np.einsum("niij->nj", derivs[0]) - np.einsum("njii->nj", derivs[0])]
+    if len(derivs) == 2:
+        out.append(
+            np.einsum("nijij->n", derivs[1]) - np.einsum("njjii->n", derivs[1]))
+    return out
+
+
+def _conformal_mass_vector(n, F):
+    """[V, div V][:order] of g = F delta from [F, dF, d2F][:order + 1]:
+    V = (1 - n) grad F and div V = (1 - n) lap F."""
+    out = [(1.0 - n) * F[1]]
+    if len(F) == 3:
+        out.append((1.0 - n) * np.einsum("nii->n", F[2]))
+    return out
+
+
 def _times_identity(f, n):
     """f delta_ij, shape f.shape + (n, n): zeros with f written onto the
     diagonal of the last two axes through a flat strided view."""
@@ -256,6 +278,13 @@ class Family:
 
     def metric(self, x):
         return self.jet(x, 0)[0]
+
+    def mass_vector(self, x, order):
+        """[V, div V][:order] at the points x (N, n), with the mass vector
+        V_j = d_i g_ij - d_j g_ii (see metrics.mass_vector), checked as jet.
+        This default takes the traces of the dense jet; a family with a
+        closed form overrides it and builds no array of dg's size."""
+        return _trace_mass_vector(self.jet(x, order)[1:])
 
     def clearance(self, x):
         """Distance |x| - inner_radius of the points x (N, n) from the
@@ -340,10 +369,11 @@ class ConformalFamily(Family):
         self.flux_decay_order = 1.0 if flux_decay_order is None else flux_decay_order
         self.mass_hint = mass_hint
 
-    def jet(self, x, order):
-        """g = F delta with F = U^e, e = 4/(n-2): dF = e U^{e-1} grad U and
-        d2F = e U^{e-1} Hess U + e (e-1) U^{e-2} grad U grad U, from one
-        jet of the factor."""
+    def _factor_jet(self, x, order):
+        """[F, dF, d2F][:order + 1] of F = U^e, e = 4/(n-2): dF = e U^{e-1}
+        grad U and d2F = e U^{e-1} Hess U + e (e-1) U^{e-2} grad U grad U,
+        from one jet of the factor.  Raises NonPositiveConformalFactor where
+        U <= 0 and NotPositiveDefinite where U^e underflows to 0."""
         jet = self.field.jet(x, order)
         u = jet[0]
         if np.any(u <= 0.0):
@@ -366,7 +396,14 @@ class ConformalFamily(Family):
                 + (e * (e - 1.0) * u ** (e - 2.0))[:, None, None]
                 * np.einsum("nk,nl->nkl", jet[1], jet[1])
             )
-        return [_times_identity(f, self.n) for f in F]
+        return F
+
+    def jet(self, x, order):
+        """g = F delta, written onto zeroed diagonals (_times_identity)."""
+        return [_times_identity(f, self.n) for f in self._factor_jet(x, order)]
+
+    def mass_vector(self, x, order):
+        return _conformal_mass_vector(self.n, self._factor_jet(x, order))
 
     def params_json(self):
         if self.params is None:
@@ -408,13 +445,21 @@ class AsymptoticallySchwarzschildFamily(Family):
         self.mass_hint = float(m)
         self.inner_radius = inner_radius
 
-    def jet(self, x, order):
-        """The base's jet plus c B times the jet of w = s^p, s = 1 + |x|^2,
-        p = -(n-1)/2: dw = 2p s^{p-1} x, d2w = 2p s^{p-1} I + 4p(p-1) s^{p-2} x x.
-        c w B is added into the base's jet in place, at B's nonzero entries."""
+    def _weight_jet(self, x, order, f):
+        """[w, dw, d2w][:order + 1] of w = s^p, s = 1 + |x|^2, p = -(n-1)/2:
+        dw = 2p s^{p-1} x, d2w = 2p s^{p-1} I + 4p(p-1) s^{p-2} x x.  f is
+        the base's F = U^e at x; raises NotPositiveDefinite where
+        F + w lowest <= 0, the lowest eigenvalue of g = F I + c w B."""
         p = -(self.n - 1) / 2.0
         s = 1.0 + np.einsum("ni,ni->n", x, x)
         w = [s ** p]
+        if self._lowest < 0.0:
+            bad = f + w[0] * self._lowest <= 0.0
+            if np.any(bad):
+                raise NotPositiveDefinite(
+                    f"{self.name}: metric not positive definite at {x[bad][:3]}"
+                    f" (c = {self.c})"
+                )
         if order >= 1:
             w.append((2.0 * p * s ** (p - 1.0))[:, None] * x)
         if order == 2:
@@ -423,19 +468,32 @@ class AsymptoticallySchwarzschildFamily(Family):
                 + (4.0 * p * (p - 1.0) * s ** (p - 2.0))[:, None, None]
                 * np.einsum("nk,nl->nkl", x, x)
             )
+        return w
+
+    def jet(self, x, order):
+        """The base's jet plus c B times the jet of w, added into the base's
+        jet in place, at B's nonzero entries."""
         jet = self.base.jet(x, order)
-        if self._lowest < 0.0:
-            bad = jet[0][:, 0, 0] + w[0] * self._lowest <= 0.0
-            if np.any(bad):
-                raise NotPositiveDefinite(
-                    f"{self.name}: metric not positive definite at {x[bad][:3]}"
-                    f" (c = {self.c})"
-                )
+        w = self._weight_jet(x, order, jet[0][:, 0, 0])
         for d, wk in zip(jet, w):
             cw = self.c * wk
             for i, j in self._nonzero:
                 d[..., i, j] += cw * self.B[i, j]
         return jet
+
+    def mass_vector(self, x, order):
+        """The base's closed form plus c (B grad w - tr B grad w) and
+        c (B : Hess w - tr B lap w)."""
+        F = self.base._factor_jet(x, order)
+        w = self._weight_jet(x, order, F[0])
+        out = _conformal_mass_vector(self.n, F)
+        trace = np.trace(self.B)
+        out[0] += self.c * (w[1] @ self.B - trace * w[1])
+        if order == 2:
+            out[1] += self.c * (
+                np.einsum("nij,ij->n", w[2], self.B)
+                - trace * np.einsum("nii->n", w[2]))
+        return out
 
     def params_json(self):
         return {"m": self.m, "c": self.c}
@@ -492,6 +550,12 @@ class ScaledFamily(Family):
             jet[k] /= self.lam ** k
         return jet
 
+    def mass_vector(self, x, order):
+        out = self.base_spec.family.mass_vector(x / self.lam, order)
+        for k, d in enumerate(out, 1):
+            d /= self.lam ** k
+        return out
+
     def clearance(self, x):
         return self.lam * self.base_spec.family.clearance(x / self.lam)
 
@@ -521,6 +585,9 @@ class TranslatedFamily(Family):
 
     def jet(self, x, order):
         return self.base_spec.family.jet(x + self.offset, order)
+
+    def mass_vector(self, x, order):
+        return self.base_spec.family.mass_vector(x + self.offset, order)
 
     def clearance(self, x):
         return self.base_spec.family.clearance(x + self.offset)
@@ -658,6 +725,30 @@ def metric_derivatives_at(spec, x, order=2):
         raise ValueError("order must be 1 or 2")
     derivs = metric_jet(spec, x, order)[1:]
     return derivs[0] if order == 1 else tuple(derivs)
+
+
+def mass_vector(spec, x, order=1):
+    """[V, div V][:order] at x: the mass vector V_j = d_i g_ij - d_j g_ii,
+    whose flux through large spheres is the ADM mass, and its divergence
+    D = d_i d_j g_ij - d_j d_j g_ii.  Batched if x is (N, n): V is (N, n)
+    and div V is (N,).
+
+    The points are checked as by metric_jet.  Analytic orders come from the
+    family's mass_vector, which builds no dense dg or d2g where the family
+    has a closed form; in fd mode the traces of metric_derivatives_at's
+    stencils are taken.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    pts, single = _as_points(x, spec.n)
+    family = spec.family
+    family.check_points(pts)
+    if spec.derivative_mode == "analytic":
+        out = family.mass_vector(pts, order)
+    else:
+        derivs = metric_derivatives_at(spec, pts, order)
+        out = _trace_mass_vector(derivs if order == 2 else (derivs,))
+    return [d[0] for d in out] if single else out
 
 
 def _fd_steps(spec, pts):

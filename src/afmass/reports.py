@@ -11,6 +11,7 @@ import datetime
 import json
 import math
 
+from . import __version__
 from .sequences import ExperimentReport
 from .spheres import SphereReport
 from .weighted import DefectReport
@@ -32,12 +33,8 @@ VOLATILE_FIELDS = ("timestamp",)
 
 
 def package_version():
-    try:
-        from importlib.metadata import version
-
-        return version("afmass")
-    except Exception:
-        return "0.0.0"
+    """The version of the source tree, installed or not."""
+    return __version__
 
 
 def _infinities_as_strings(obj):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import christoffel, ricci_tensor
+from .curvature import _ricci_from_inverse, christoffel
 from .geometry import SphereQuadrature, sphere_chart, unit_sphere_area
 from .metrics import GeometryError, metric_jet
 
@@ -109,6 +109,13 @@ def _closed_form(spec, r):
 # generic route
 
 
+def _checked_normal(lam2):
+    """lam^2 = |d|x||_g^2, or DegenerateNormal where it is not positive."""
+    if np.any(lam2 <= 0.0):
+        raise DegenerateNormal("gradient of |x| is g-null")
+    return lam2
+
+
 def _geometry_at(spec, r, x, order):
     """Pointwise geometry of S_r at the points x (N, n) on it: (density, H, rho).
 
@@ -120,15 +127,20 @@ def _geometry_at(spec, r, x, order):
     N, n = x.shape
     jet = metric_jet(spec, x, order)
     g = jet[0]
+    if order == 0:
+        # one Cholesky factor g = L L^T: sqrt(det g) = prod diag L, and
+        # lam^2 = u g^{-1} u = |y|^2 with L y = u, by forward substitution
+        L = np.linalg.cholesky(g)
+        diag = np.diagonal(L, axis1=1, axis2=2)
+        y = np.empty_like(u)
+        for i in range(n):
+            y[:, i] = (u[:, i] - np.einsum("nk,nk->n", L[:, i, :i], y[:, :i])) / diag[:, i]
+        lam = np.sqrt(_checked_normal(np.einsum("ni,ni->n", y, y)))
+        return np.prod(diag, axis=1) * lam, None, None
     ginv = np.linalg.inv(g)
     normal = np.einsum("nij,nj->ni", ginv, u)
-    lam2 = np.einsum("ni,ni->n", normal, u)
-    if np.any(lam2 <= 0.0):
-        raise DegenerateNormal("gradient of |x| is g-null")
-    lam = np.sqrt(lam2)
+    lam = np.sqrt(_checked_normal(np.einsum("ni,ni->n", normal, u)))
     density = np.sqrt(np.linalg.det(g)) * lam
-    if order == 0:
-        return density, None, None
     dg = jet[1]
     nu = normal / lam[:, None]
     # inverse induced metric, as a tensor on the ambient space
@@ -147,7 +159,7 @@ def _geometry_at(spec, r, x, order):
         return density, H, np.zeros(N)
     shape = np.einsum("nij,njk->nik", tangent, A)  # A with one index raised
     A2 = np.einsum("nij,nji->n", shape, shape)
-    ric = ricci_tensor(g, dg, jet[2])
+    ric = _ricci_from_inverse(ginv, dg, jet[2])
     R = np.einsum("nij,nij->n", ginv, ric)
     rho = R - 2.0 * np.einsum("nij,ni,nj->n", ric, nu, nu) + H * H - A2
     return density, H, rho

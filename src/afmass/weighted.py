@@ -2,10 +2,11 @@
 
 The divergence quantity
 
-    D(g) = sum_{i,j} d_i d_j g_ij - sum_{i,j} d_j d_j g_ii
+    D(g) = div V = sum_{i,j} d_i d_j g_ij - sum_{i,j} d_j d_j g_ii,
 
-integrates against the flat volume element to reproduce the flux form of the
-mass: by the divergence theorem,
+is the divergence of the mass vector V_j = d_i g_ij - d_j g_ii, whose flux
+is the mass (metrics.mass_vector).  It integrates against the flat volume
+element to reproduce the flux form of the mass: by the divergence theorem,
 
     flux(R) = flux(r0) + c_n int_{r0 < |x| < R} D(g) dx,
 
@@ -23,7 +24,7 @@ import numpy as np
 from .curvature import scalar_curvature
 from .geometry import SphereQuadrature
 from .mass import _decay_exponent, adm_flux, extrapolate, flux_constant
-from .metrics import metric_derivatives_at, metric_jet
+from .metrics import mass_vector, metric_jet
 
 __all__ = [
     "WeightedNormParams",
@@ -92,11 +93,9 @@ def _weighted_max(weight, values):
 
 
 def d_operator_at(spec, x):
-    """D(g) = d_i d_j g_ij - d_j d_j g_ii at x (batched)."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    _, d2g = metric_derivatives_at(spec, pts, order=2)
-    out = np.einsum("nijij->n", d2g) - np.einsum("njjii->n", d2g)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+    """D(g) = div V = d_i d_j g_ij - d_j d_j g_ii at x (batched)."""
+    out = mass_vector(spec, x, order=2)[1]
+    return float(out) if np.ndim(x) == 1 else out
 
 
 def radial_panels(inner, outer, breakpoints=()):

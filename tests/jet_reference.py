@@ -4,6 +4,9 @@ The families in afmass.metrics write f delta_ij onto a zeroed diagonal and
 add, scale and shift their base's jet in place; this version forms
 f delta_ij with an einsum against the identity and builds b + c w B and
 d / lambda^k as new arrays, as an independent check of the in-place jets.
+mass_vector_reference takes the mass vector V_j = d_i g_ij - d_j g_ii and
+its divergence as traces of that dense jet, the oracle of Family.mass_vector
+(its dense-jet default and the closed forms).
 """
 
 import numpy as np
@@ -28,6 +31,22 @@ def jet_reference(family, x, order):
     if isinstance(family, TranslatedFamily):
         return jet_reference(family.base_spec.family, x + family.offset, order)
     return family.jet(x, order)
+
+
+def mass_vector_reference(family, x, order):
+    """[V, div V][:order] of family at x, traced from the dense jet with
+    np.trace: V_j = d_i g_ij - d_j g_ii, div V = d_i d_j g_ij - d_j d_j g_ii."""
+    jet = jet_reference(family, x, order)
+    dg = jet[1]
+    out = [np.trace(dg, axis1=1, axis2=2) - np.trace(dg, axis1=2, axis2=3)]
+    if order == 2:
+        N, n = x.shape
+        d2g = jet[2]
+        out.append(
+            np.trace(d2g.reshape(N, n * n, n * n), axis1=1, axis2=2)
+            - np.trace(np.trace(d2g, axis1=3, axis2=4), axis1=1, axis2=2)
+        )
+    return out
 
 
 def _conformal(family, x, order):

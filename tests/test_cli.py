@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import afmass
 import afmass.mass
 from afmass.cli import ConfigInvalid, RunConfig, main, run
 from afmass.reports import read_csv, read_json, strip_volatile
@@ -403,3 +406,31 @@ class TestDeterminism:
         a = strip_volatile(read_json(out1 / "adm_mass.json"))
         b = strip_volatile(read_json(out2 / "adm_mass.json"))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestVersion:
+    """The version comes from the source tree, installed or not."""
+
+    SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def test_version_flag_from_source_tree(self):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-m", "afmass.cli", "--version"], cwd=self.SRC,
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == afmass.__version__ == "0.1.0"
+
+    def test_error_report_carries_the_version(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass",
+            "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                     "params": {"m": 1.0, "c": -50.0}},
+            "radii": [1.0, 2.0, 4.0],
+            "q": 8,
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        doc = load_strict(out / "error.json")
+        assert doc["version"] == "0.1.0"
+        assert doc["result"]["error"] == "NotPositiveDefinite"

@@ -11,7 +11,6 @@ from afmass.mass import (
     FitIllConditioned,
     MassEstimate,
     ZeroRhoMin,
-    _flux_integrand,
     adm_flux,
     adm_mass,
     extrapolate,
@@ -72,13 +71,15 @@ def test_default_radii_clear_the_shell(n, i):
     assert est.value == pytest.approx(shell_mass(n), rel=1e-3)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_flux_integrand_matches_two_einsums(n):
-    rng = np.random.default_rng(n)
-    dg = rng.normal(size=(50, n, n, n))
-    u = rng.normal(size=(50, n))
-    old = np.einsum("niij,nj->n", dg, u) - np.einsum("njii,nj->n", dg, u)
-    assert np.abs(_flux_integrand(dg, u) - old).max() <= 1e-14 * np.abs(old).max()
+def test_analytic_flux_builds_no_dense_jet(monkeypatch):
+    spec = asymptotically_schwarzschild(4, 1.0, c=0.3)
+
+    def dense(x, order):
+        raise AssertionError("dense jet built")
+
+    for family in (spec.family, spec.family.base):
+        monkeypatch.setattr(family, "jet", dense)
+    assert adm_flux(spec, 100.0, q=8) == pytest.approx(1.0, abs=2e-3)
 
 
 def test_default_radii_clear_a_translated_shell():
@@ -233,3 +234,16 @@ def test_grid_flux_memory_is_bounded_at_n7():
         tracemalloc.stop()
     assert peak < 256 * 2 ** 20, peak
     assert flux == pytest.approx(1.0, abs=2e-3)
+
+
+def test_grid_flux_builds_no_dense_dg_at_n7():
+    # the closed mass vector holds n numbers a node, not dg's n^3: one
+    # block's dg alone would take 32 MiB
+    spec = asymptotically_schwarzschild(7, 1.0)
+    tracemalloc.start()
+    try:
+        adm_flux(spec, 100.0, q=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from afmass.curvature import scalar_curvature
 from afmass.metrics import (
+    Family,
+    NonPositiveConformalFactor,
     NotPositiveDefinite,
     RadialProfile,
     SingularPoint,
@@ -14,6 +16,7 @@ from afmass.metrics import (
     euclidean,
     harmonic_dipole_field,
     harmonically_flat,
+    mass_vector,
     metric_at,
     metric_derivatives_at,
     metric_from_json,
@@ -25,7 +28,7 @@ from afmass.metrics import (
 )
 from afmass.shells import shell_metric
 
-from jet_reference import jet_reference
+from jet_reference import jet_reference, mass_vector_reference
 
 
 class TestSchwarzschildValues:
@@ -273,6 +276,98 @@ class TestJetInPlace:
             d += 1.0
         for d, k in zip(spec.family.jet(x, 2), kept):
             assert np.array_equal(d, k)
+
+
+# every family with its own mass vector, and the dense-jet default
+MASS_VECTOR_FAMILIES = {
+    **JET_FAMILIES,
+    "Euclidean": euclidean,
+    "AS-full-direction-negative": lambda n: asymptotically_schwarzschild(
+        n, 1.0, c=-0.3, direction=_random_direction(n)),
+}
+
+
+def _assert_traces_the_reference(got, family, x, order):
+    ref = mass_vector_reference(family, x, order)
+    # the scale of the traced entries: div V cancels to roundoff where
+    # F = U^{4/(n-2)} is harmonic (Schwarzschild at n = 6)
+    scales = [np.abs(d).max() for d in jet_reference(family, x, order)[1:]]
+    assert len(got) == len(ref) == order
+    for k, (d, r, scale) in enumerate(zip(got, ref, scales)):
+        assert d.shape == r.shape == (len(x),) + (x.shape[1],) * (1 - k)
+        assert np.abs(d - r).max() <= 1e-14 * scale, (order, k)
+
+
+class TestMassVector:
+    """mass_vector: V_j = d_i g_ij - d_j g_ii and div V, without a dense jet."""
+
+    @pytest.mark.parametrize("name", sorted(MASS_VECTOR_FAMILIES))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_dense_jet_traces(self, name, n):
+        spec = MASS_VECTOR_FAMILIES[name](n)
+        x = _jet_points(n)
+        for order in (1, 2):
+            _assert_traces_the_reference(
+                mass_vector(spec, x, order), spec.family, x, order)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_default_traces_the_dense_jet(self, n):
+        # the base-class route of a family without a closed mass vector
+        family = JET_FAMILIES["AS-full-direction"](n).family
+        x = _jet_points(n)
+        for order in (1, 2):
+            _assert_traces_the_reference(
+                Family.mass_vector(family, x, order), family, x, order)
+
+    def test_fd_traces_the_stencil(self):
+        x = 4.0 * _jet_points(4, count=8)[4:]
+        analytic = mass_vector(asymptotically_schwarzschild(4, 1.0, c=0.3), x, 2)
+        fd = mass_vector(
+            asymptotically_schwarzschild(4, 1.0, c=0.3, derivative_mode="fd"), x, 2)
+        assert np.allclose(fd[0], analytic[0], atol=1e-8)
+        assert np.allclose(fd[1], analytic[1], atol=1e-5)
+
+    def test_single_point(self):
+        spec = asymptotically_schwarzschild(3, 1.0, c=0.3)
+        x = np.array([3.0, 1.0, -2.0])
+        V, D = mass_vector(spec, x, 2)
+        batch = mass_vector(spec, x[None], 2)
+        assert V.shape == (3,) and np.ndim(D) == 0
+        assert np.array_equal(V, batch[0][0]) and D == batch[1][0]
+
+    def test_rejects_other_orders(self):
+        for order in (0, 3):
+            with pytest.raises(ValueError):
+                mass_vector(schwarzschild(3, 1.0), np.array([3.0, 0.0, 0.0]), order)
+
+    @pytest.mark.parametrize("case", [
+        "singular", "conformal-factor", "indefinite", "indefinite-fd",
+        "indefinite-scaled", "indefinite-translated", "stencil",
+    ])
+    def test_same_errors_as_metric_jet(self, case):
+        # g = 1.5^4 I - 25 e1 e1 at the base's x = (1, 0, 0)
+        indefinite = asymptotically_schwarzschild(3, 1.0, c=-50.0)
+        spec, x, error = {
+            "singular": (schwarzschild(3, 1.0), [0.0, 0.0, 0.0], SingularPoint),
+            # U = 1 - 0.5 / 0.1 = -4
+            "conformal-factor": (schwarzschild(3, -1.0), [0.1, 0.0, 0.0],
+                                 NonPositiveConformalFactor),
+            "indefinite": (indefinite, [1.0, 0.0, 0.0], NotPositiveDefinite),
+            "indefinite-fd": (
+                asymptotically_schwarzschild(3, 1.0, c=-50.0, derivative_mode="fd"),
+                [1.0, 0.0, 0.0], NotPositiveDefinite),
+            "indefinite-scaled": (scaled(indefinite, 2.0), [2.0, 0.0, 0.0],
+                                  NotPositiveDefinite),
+            "indefinite-translated": (translated(indefinite, [1.0, 0.0, 0.0]),
+                                      [0.0, 0.0, 0.0], NotPositiveDefinite),
+            "stencil": (schwarzschild(3, 1.0, inner_radius=1.0, derivative_mode="fd",
+                                      fd_step=0.5), [1.2, 0.0, 0.0], StepTooLarge),
+        }[case]
+        for order in (1, 2):
+            with pytest.raises(error):
+                metric_jet(spec, np.array(x), order)
+            with pytest.raises(error):
+                mass_vector(spec, np.array(x), order)
 
 
 class TestPositiveDefinite:
