@@ -28,12 +28,18 @@ def _raise_first(ginv, t):
     return (ginv @ t.reshape(N, d, -1)).reshape(t.shape)
 
 
+def _christoffels(ginv, dg):
+    """(Gamma_lij, Gamma^k_ij): the lowered symbols and their raised form."""
+    low = _lowered_christoffel(dg)
+    return low, _raise_first(ginv, low)
+
+
 def christoffel(ginv, dg):
     """Christoffel symbols Gamma^k_ij = g^{kl} Gamma_lij.
 
     Returns (N, d, d, d) indexed [.., k, i, j].
     """
-    return _raise_first(ginv, _lowered_christoffel(dg))
+    return _christoffels(ginv, dg)[1]
 
 
 def ricci_tensor(g, dg, d2g):
@@ -50,14 +56,14 @@ def ricci_tensor(g, dg, d2g):
     with u = g^{-1}(tr M / 2 - w).  g^{-1} is contracted into d2g directly,
     so no other array of d2g's size is built.
     """
-    return _ricci_from_inverse(np.linalg.inv(g), dg, d2g)
+    ginv = np.linalg.inv(g)
+    return _ricci_from_inverse(ginv, dg, d2g, *_christoffels(ginv, dg))
 
 
-def _ricci_from_inverse(ginv, dg, d2g):
-    """ricci_tensor given g^{-1}, for callers that already hold it."""
+def _ricci_from_inverse(ginv, dg, d2g, low, gamma):
+    """ricci_tensor given g^{-1} and _christoffels(ginv, dg), for callers
+    that already hold them."""
     N, d = ginv.shape[:2]
-    low = _lowered_christoffel(dg)
-    gamma = _raise_first(ginv, low)
     m = ginv[:, None] @ dg
     vec = ginv.reshape(N, 1, d * d)
     d2 = d2g.reshape(N, d * d, d * d)
@@ -80,7 +86,8 @@ def _ricci_from_inverse(ginv, dg, d2g):
 def scalar_curvature(g, dg, d2g):
     """Scalar curvature R = g^{jk} R_jk.  Returns (N,)."""
     ginv = np.linalg.inv(g)
-    return np.einsum("njk,njk->n", ginv, _ricci_from_inverse(ginv, dg, d2g))
+    ric = _ricci_from_inverse(ginv, dg, d2g, *_christoffels(ginv, dg))
+    return np.einsum("njk,njk->n", ginv, ric)
 
 
 def fd_metric_derivatives(fn, x, h):

@@ -16,6 +16,11 @@ Radial ODE facts used throughout (Q(r) = int_0^r s^{n-1} rho(s) ds):
     v'(r)  = -r^{1-n} Q(r)
     v''(r) = (n-1) r^{-n} Q(r) - rho(r)
     v(r)   = Q(infinity) r^{2-n} / (n-2)   for r past the support.
+
+Every radial integral runs on one 16-node Gauss-Legendre rule, exact to
+degree 31.  On the support the default rho is a polynomial of degree 6, so
+the integrands s^{n-1} rho and s rho have degree at most n + 5 and the rule
+integrates them exactly.
 """
 
 from dataclasses import dataclass
@@ -23,16 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import unit_sphere_area
-from .metrics import (
-    ConformalFamily,
-    GeometryError,
-    MetricSpec,
-    NonPositiveConformalFactor,
-    RadialProfile,
-)
+from .metrics import ConformalFamily, MetricSpec, RadialProfile
 
 __all__ = [
-    "GridTooCoarse",
     "ShellDensity",
     "default_shell_density",
     "solve_shell_potential",
@@ -42,13 +40,10 @@ __all__ = [
     "shell_matter_coupling",
 ]
 
-MIN_SUPPORT_NODES = 32
 # support [lo, hi] of the default density; member i is supported in i [lo, hi]
 _SUPPORT = (0.5, 1.0)
-
-
-class GridTooCoarse(GeometryError):
-    """Radial grid resolves the density support with too few nodes."""
+# Gauss-Legendre nodes and weights on [-1, 1] for every radial integral
+_XG, _WG = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,7 @@ def default_shell_density(n):
 
     Base profile (1 - (4(s - 3/4))^2)^3: C^2 at both endpoints.  On the
     support s^{n-1} times the bump is a polynomial of degree n + 5, so the
-    16-node Gauss-Legendre rule normalizes it exactly."""
+    16-node rule normalizes it exactly."""
 
     def bump(s):
         s = np.asarray(s, dtype=float)
@@ -74,9 +69,8 @@ def default_shell_density(n):
         out = np.where((s > 0.5) & (s < 1.0), np.maximum(t, 0.0) ** 3, 0.0)
         return out
 
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    s = 0.25 * (xg + 1.0) + 0.5
-    raw = 0.25 * float(np.dot(wg, s ** (n - 1) * bump(s)))
+    s = 0.25 * (_XG + 1.0) + 0.5
+    raw = 0.25 * float(np.dot(_WG, s ** (n - 1) * bump(s)))
     norm = unit_sphere_area(n) * raw
 
     def rho(s):
@@ -85,29 +79,24 @@ def default_shell_density(n):
     return ShellDensity(rho=rho, lo=_SUPPORT[0], hi=_SUPPORT[1])
 
 
-def _charge_function(n, density, i, radial_q=80):
+def _charge_function(n, density, i):
     """Q_i(r) = int_0^r s^{n-1} rho_i(s) ds, one Gauss panel per radius.
 
     rho_i(s) = i^{-n} rho(s / i) is supported in [i*lo, i*hi]; Q_i is 0
     before the support and constant after it, so each panel runs over
     [lo, clip(r, lo, hi)].  Returns Q, the limiting value
     Q_i(inf) = total / omega_{n-1}, and panel(a, b, p): the sums
-    int_a^b s^p rho_i(s) ds with one radial_q-node Gauss-Legendre panel per
-    pair of bounds (a and b broadcast against each other).  Inside the
-    support the default rho_i is a polynomial of degree 6, so the panels of
-    s^{n-1} rho_i and s rho_i are exact."""
-    if radial_q < MIN_SUPPORT_NODES:
-        raise GridTooCoarse(
-            f"{radial_q} nodes across the density support; need >= {MIN_SUPPORT_NODES}"
-        )
+    int_a^b s^p rho_i(s) ds with one 16-node panel per pair of bounds (a and
+    b broadcast against each other).  Inside the support the default rho_i
+    is a polynomial of degree 6, so the panels of s^{n-1} rho_i and s rho_i
+    (degree <= n + 5) are exact."""
     lo, hi = i * density.lo, i * density.hi
-    xg, wg = np.polynomial.legendre.leggauss(radial_q)
 
     def panel(a, b, p):
         a = np.asarray(a, dtype=float)
         half = np.asarray(0.5 * (b - a))
-        s = half[..., None] * (xg + 1.0) + a[..., None]
-        return half * ((s ** p * i ** (-n) * density.rho(s / i)) @ wg)
+        s = half[..., None] * (_XG + 1.0) + a[..., None]
+        return half * ((s ** p * i ** (-n) * density.rho(s / i)) @ _WG)
 
     def Q(r):
         return panel(lo, np.clip(np.asarray(r, dtype=float), lo, hi), n - 1)
@@ -115,7 +104,7 @@ def _charge_function(n, density, i, radial_q=80):
     return Q, float(Q(hi)), panel
 
 
-def solve_shell_potential(n, i, radial_q=80):
+def solve_shell_potential(n, i):
     """RadialProfile u_i = 1 + v_i with -Delta v_i = rho_i, v_i(inf) = 0.
 
     Newton's shell theorem: integrating v(r) = int_r^inf s^{1-n} Q(s) ds by
@@ -123,15 +112,16 @@ def solve_shell_potential(n, i, radial_q=80):
 
         v(r) = (r^{2-n} Q(r) + int_r^inf s rho_i(s) ds) / (n - 2),
 
-    two Gauss panels per radius, over [lo, t] and [t, hi] with
+    two exact 16-node panels per radius, over [lo, t] and [t, hi] with
     t = clip(r, lo, hi).  Past the support this is the exact power tail
     Q_inf r^{2-n} / (n-2); inside the cavity Q = 0 and v is constant, and
-    max(r, lo) in place of r keeps 0 * inf out of it (also in v' and v'')."""
+    max(r, lo) in place of r keeps 0 * inf out of it (also in v' and v'').
+    v >= 0 for the nonnegative density, so u = 1 + v >= 1."""
     if n < 3:
         raise ValueError("need n >= 3 for a decaying potential")
     density = default_shell_density(n)
     lo, hi = i * density.lo, i * density.hi
-    Q, q_inf, panel = _charge_function(n, density, i, radial_q=radial_q)
+    Q, q_inf, panel = _charge_function(n, density, i)
     tail = q_inf / (n - 2)
 
     def v(r):
@@ -147,10 +137,6 @@ def solve_shell_potential(n, i, radial_q=80):
         r = np.asarray(r, dtype=float)
         rho_vals = i ** (-n) * density.rho(r / i)
         return (n - 1) * np.maximum(r, lo) ** (-n) * Q(r) - rho_vals
-
-    u0 = float(v(np.array([max(lo * 0.5, 1e-6)]))[0])
-    if 1.0 + u0 <= 0.0:
-        raise NonPositiveConformalFactor("1 + v is not positive")
 
     return RadialProfile(
         u=lambda r: 1.0 + v(np.asarray(r, dtype=float)),
@@ -174,26 +160,26 @@ def shell_mass(n):
     return 2.0 * shell_tail_coefficient(n)
 
 
-def shell_metric(n, i, radial_q=80, **kw):
+def shell_metric(n, i, **kw):
     """MetricSpec of the i-th shell metric u_i^{4/(n-2)} delta."""
-    profile = solve_shell_potential(n, i, radial_q=radial_q)
+    profile = solve_shell_potential(n, i)
     return MetricSpec(ConformalFamily(
         n, profile, "ShellConformal", {"i": i},
         radial_breakpoints=(i * _SUPPORT[0], i * _SUPPORT[1]),
     ), **kw)
 
 
-def shell_matter_coupling(n, i, radial_q=96):
+def shell_matter_coupling(n, i):
     """c_n int R dV_g = (2 / ((n-2) omega_{n-1})) int u_i rho_i dx.
 
     Uses the conformal transformation of scalar curvature for harmonic-plus-
-    source factors; reduces to a 1-d integral over the support."""
+    source factors; reduces to a 1-d integral over the support, on the
+    16-node rule (u_i is smooth there, though not a polynomial)."""
     density = default_shell_density(n)
-    profile = solve_shell_potential(n, i, radial_q=radial_q)
+    profile = solve_shell_potential(n, i)
     lo, hi = i * density.lo, i * density.hi
-    xg, wg = np.polynomial.legendre.leggauss(radial_q)
-    s = 0.5 * (hi - lo) * (xg + 1.0) + lo
-    w = 0.5 * (hi - lo) * wg
+    s = 0.5 * (hi - lo) * (_XG + 1.0) + lo
+    w = 0.5 * (hi - lo) * _WG
     rho_vals = i ** (-n) * density.rho(s / i)
     u_vals = profile.u(s)
     integral = unit_sphere_area(n) * float(np.dot(w, s ** (n - 1) * u_vals * rho_vals))

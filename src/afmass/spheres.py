@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _ricci_from_inverse, christoffel
+from .curvature import _christoffels, _ricci_from_inverse
 from .geometry import SphereQuadrature, sphere_chart, unit_sphere_area
 from .metrics import GeometryError, metric_jet
 
@@ -145,10 +145,11 @@ def _geometry_at(spec, r, x, order):
     nu = normal / lam[:, None]
     # inverse induced metric, as a tensor on the ambient space
     tangent = ginv - np.einsum("ni,nj->nij", nu, nu)
+    low, gamma = _christoffels(ginv, dg)
     # Hess_g |x| = d d|x| - Gamma^k d_k|x|
     hess = (
         (np.eye(n)[None] - np.einsum("ni,nj->nij", u, u)) / r
-        - np.einsum("nkij,nk->nij", christoffel(ginv, dg), u)
+        - np.einsum("nkij,nk->nij", gamma, u)
     )
     A = hess / lam[:, None, None]
     H = np.einsum("nij,nij->n", tangent, A)
@@ -159,7 +160,7 @@ def _geometry_at(spec, r, x, order):
         return density, H, np.zeros(N)
     shape = np.einsum("nij,njk->nik", tangent, A)  # A with one index raised
     A2 = np.einsum("nij,nji->n", shape, shape)
-    ric = _ricci_from_inverse(ginv, dg, jet[2])
+    ric = _ricci_from_inverse(ginv, dg, jet[2], low, gamma)
     R = np.einsum("nij,nij->n", ginv, ric)
     rho = R - 2.0 * np.einsum("nij,ni,nj->n", ric, nu, nu) + H * H - A2
     return density, H, rho

@@ -195,6 +195,19 @@ class TestPenroseLikeCheck:
         assert rec["inequality_holds"]
         assert rec["fg"] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_schwarzschild_near_horizon(self, n):
+        rec = penrose_like_check(schwarzschild(n, 1.0), 3.0)
+        assert rec["hypothesis_holds"] and rec["inequality_holds"]
+        assert rec["fg"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_shell_past_support(self, n):
+        # the 8th shell is supported in [4, 8]; at r = 16 fg sees all of it
+        rec = penrose_like_check(shell_metric(n, 8), 16.0)
+        assert rec["hypothesis_holds"] and rec["inequality_holds"]
+        assert rec["fg"] == pytest.approx(shell_mass(n), rel=1e-12)
+
     def test_dipole(self):
         spec = conformally_flat(
             3, harmonic_dipole_field(3, 0.5, 0.3), mass_hint=1.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from afmass import curvature, spheres
 from afmass.geometry import SphereQuadrature, sphere_chart, unit_sphere_area
 from afmass.metrics import (
     asymptotically_schwarzschild,
@@ -189,6 +190,22 @@ class TestSphereReport:
         assert rep.maxH2 >= rep.H_min ** 2 - 1e-12
         # perturbation genuinely breaks symmetry
         assert rep.H_max > rep.H_min
+
+    def test_christoffel_symbols_built_once_per_block(self, monkeypatch):
+        calls = {"blocks": 0, "christoffel": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(spheres, "_geometry_at",
+                            counting("blocks", spheres._geometry_at))
+        monkeypatch.setattr(curvature, "_lowered_christoffel",
+                            counting("christoffel", curvature._lowered_christoffel))
+        sphere_report(asymptotically_schwarzschild(5, 1.0), 40.0, q=12)
+        assert calls == {"blocks": 4, "christoffel": 4}
 
     def test_csv_row_layout(self):
         rep = sphere_report(schwarzschild(3, 1.0), 10.0, q=8)
