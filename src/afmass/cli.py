@@ -191,7 +191,7 @@ def _dimension(value):
 def _check_spec(doc, n=None):
     """Check a metric spec document before anything is built: its dimension
     (a nested base's must equal its wrapper's n), a positive fd_step and
-    numeric params."""
+    numeric params (an n x n matrix of finite numbers for a direction)."""
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"metric spec must be an object, got {doc!r}")
     dim = _dimension(doc.get("n"))
@@ -208,6 +208,15 @@ def _check_spec(doc, n=None):
         elif key == "offset":
             for v in _list(value, "offset"):
                 _real(v, "offset entry")
+        elif key == "direction":
+            rows = _list(value, "direction")
+            if len(rows) != dim or any(
+                    len(_list(row, "direction row")) != dim for row in rows):
+                raise ConfigInvalid(
+                    f"direction must be an {dim} x {dim} matrix, got {value!r}")
+            for row in rows:
+                for v in row:
+                    _real(v, "direction entry")
         elif key == "i":
             if _integer(value, "shell index i") < 1:
                 raise ConfigInvalid(f"shell index i must be >= 1, got {value!r}")
@@ -235,8 +244,8 @@ def _cmd_fg_profile(cfg):
     values = []
     for r in radii:
         detail = fg_detail(spec, r, q=cfg.q)
-        ratio = (spec.n - 2.0) / (spec.n - 1.0)
-        hypothesis = detail["rho_min"] > ratio * detail["maxH2"]
+        # rho_min > ratio maxH2, decided as penrose_like_check decides it
+        hypothesis = detail["bracket"] > 0.0
         rows.append(
             [r, detail["fg"], detail["area"], detail["maxH2"],
              detail["rho_min"], hypothesis]

@@ -8,9 +8,18 @@ sine/cosine chart
     ...
     x^n = r sin(phi^1) ... sin(phi^{n-1}),
 
-with phi^1..phi^{n-2} in (0, pi) and phi^{n-1} in [0, 2pi).  Quadrature is a
-tensor product: Gauss-Legendre nodes in the polar angles, trapezoid in the
-periodic angle.  Nodes never sit on the chart poles.
+with phi^1..phi^{n-2} in (0, pi) and phi^{n-1} in [0, 2pi).  The full
+quadrature grid is a tensor product: Gauss-Legendre nodes in the polar
+angles, trapezoid in the periodic angle.  Nodes never sit on the chart poles.
+
+Two shortcuts serve integrands with symmetry.  A function constant on each
+sphere needs one node.  A function invariant under the rotations that fix a
+unit axis a depends only on t = x.a / r, so one meridian carries the sphere:
+
+    int_{S^{n-1}} f = omega_{n-2} int_{-1}^{1} f(t) (1 - t^2)^{(n-3)/2} dt,
+
+and q Gauss-Jacobi nodes in t (alpha = beta = (n-3)/2) integrate it exactly
+to degree 2q - 1.
 """
 
 import math
@@ -65,6 +74,49 @@ def flat_angular_density(phi):
     return out
 
 
+def _gauss_jacobi(q, alpha):
+    """Nodes t (ascending) and weights of the q-point Gauss rule for the
+    weight (1 - t^2)^alpha on [-1, 1], alpha > -1, scaled to total 1, for
+    q >= 2.  The rule is exact for polynomials of degree 2q - 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal Gegenbauer recurrence
+    beta_{k+1} p_{k+1} = t p_k - beta_k p_{k-1}.  One Newton step on p_q
+    polishes them, and the weights are the Christoffel numbers
+    1 / sum_{k<q} p_k(t)^2, which hold every node and weight to a few ulp
+    (the eigenvectors' first components alone lose about a digit by q = 16).
+    """
+    k = np.arange(2.0, q + 1)
+    # beta_1^2 = <t, t> / <1, 1>; the general beta_k^2 is 0/0 there at
+    # alpha = -1/2
+    beta = np.sqrt(np.concatenate([
+        [1.0 / (2.0 * alpha + 3.0)],
+        k * (k + 2.0 * alpha)
+        / ((2.0 * k + 2.0 * alpha - 1.0) * (2.0 * k + 2.0 * alpha + 1.0)),
+    ]))
+    t = np.linalg.eigvalsh(np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+
+    def recurrence(t):
+        """p_q(t), p_q'(t) and sum_{k<q} p_k(t)^2."""
+        prev, p = np.zeros_like(t), np.ones_like(t)
+        dprev, dp = np.zeros_like(t), np.zeros_like(t)
+        total = np.zeros_like(t)
+        for j in range(q):
+            total += p * p
+            back = beta[j - 1] if j else 0.0
+            prev, p, dprev, dp = (
+                p, (t * p - back * prev) / beta[j],
+                dp, (p + t * dp - back * dprev) / beta[j],
+            )
+        return p, dp, total
+
+    p, dp, _ = recurrence(t)
+    t = t - p / dp
+    w = 1.0 / recurrence(t)[2]
+    # the rule is symmetric about 0: average out the rounding of each half
+    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+
+
 # entries (floats) that one sampled block may make its integrand hold: a
 # block has at most BLOCK_ENTRIES // entries_per_node nodes, so the memory of
 # every sphere and annulus integral is bounded whatever n and q are
@@ -77,7 +129,8 @@ class SphereQuadrature:
     Polar angles use q-point Gauss-Legendre on [0, pi]; the periodic angle
     uses the q-point trapezoid (uniform) rule on [0, 2pi).  `full_grid`
     gives the plain angle-box weights; `sample` gives points on spheres with
-    the flat area element folded into the weights.
+    the flat area element folded into the weights, on the full grid, on one
+    meridian of q Gauss-Jacobi nodes or at one node (see sample).
     """
 
     def __init__(self, n, q):
@@ -117,37 +170,64 @@ class SphereQuadrature:
         """All nodes and weights: (N, n-1) angles and (N,) weights."""
         return self._nodes(np.arange(self.num_nodes))
 
-    def sample(self, radii, symmetric, entries_per_node, radial_weights=None):
+    def sample(self, radii, symmetry, entries_per_node, radial_weights=None):
         """Yield (x, w) blocks of points on the spheres |x| = r and weights.
 
         sum over blocks of dot(w, f(x)) is the quadrature value of
         sum_k radial_weights[k] int_{S_{r_k}} f dA_flat (radial weights
-        default to 1).  With `symmetric` the integrand is taken to be
-        constant on each sphere, and one generic node per radius carries
-        the weight omega_{n-1} r^{n-1}; otherwise every radius gets the full
-        angular grid.  `entries_per_node` is the number of floats the
-        caller's integrand holds per node (n^3 for dg, n^4 for d2g); each
-        block has at most BLOCK_ENTRIES // entries_per_node nodes.
+        default to 1).  `symmetry` says what the integrand is invariant
+        under, and so how many nodes a sphere needs:
+
+        * True: constant on each sphere; one generic node per radius carries
+          the weight omega_{n-1} r^{n-1};
+        * a unit vector a: invariant under the rotations fixing a; one
+          meridian r (t a + sqrt(1 - t^2) b), b a fixed unit vector normal
+          to a, of q Gauss-Jacobi nodes in t per radius;
+        * False: no symmetry; every radius gets the full angular grid.
+
+        `entries_per_node` is the number of floats the caller's integrand
+        holds per node (n^3 for dg, n^4 for d2g); each block has at most
+        BLOCK_ENTRIES // entries_per_node nodes.
         """
         radii = np.asarray(radii, dtype=float).reshape(-1)
         scale = radii ** (self.n - 1)
         if radial_weights is not None:
             scale = scale * np.asarray(radial_weights, dtype=float)
-        per_sphere = 1 if symmetric else self.num_nodes
+        if symmetry is True:
+            u_all = sphere_chart(self.generic_node())[None, :]
+            w_all = np.array([unit_sphere_area(self.n)])
+        elif symmetry is not False:
+            u_all, w_all = self._meridian(symmetry)
+        per_sphere = self.num_nodes if symmetry is False else w_all.size
         total = radii.size * per_sphere
         max_nodes = max(1, BLOCK_ENTRIES // entries_per_node)
         for start in range(0, total, max_nodes):
             k, index = np.divmod(
                 np.arange(start, min(start + max_nodes, total)), per_sphere
             )
-            if symmetric:
-                u = sphere_chart(self.generic_node())[None, :]
-                w = np.full(k.size, unit_sphere_area(self.n))
-            else:
+            if symmetry is False:
                 phi, w = self._nodes(index)
                 u = sphere_chart(phi)
                 w = w * flat_angular_density(phi)
+            else:
+                u, w = u_all[index], w_all[index]
             yield radii[k, None] * u, scale[k] * w
+
+    def _meridian(self, axis):
+        """Unit vectors (q, n) of one meridian about `axis` and their
+        weights (q,): the Gauss-Jacobi rule in t = u.axis, with omega_{n-2}
+        folded in."""
+        a = np.asarray(axis, dtype=float)
+        a = a / np.linalg.norm(a)
+        # b: the coordinate vector least aligned with a, made normal to it
+        b = np.zeros(self.n)
+        b[np.argmin(np.abs(a))] = 1.0
+        b -= np.dot(b, a) * a
+        b /= np.linalg.norm(b)
+        t, w = _gauss_jacobi(self.q, 0.5 * (self.n - 3))
+        u = t[:, None] * a + np.sqrt(1.0 - t * t)[:, None] * b
+        # omega_{n-2} int (1 - t^2)^{(n-3)/2} dt = omega_{n-1}
+        return u, unit_sphere_area(self.n) * w
 
     def generic_node(self):
         """A single interior node with no special symmetry (the one node

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import SphereQuadrature, unit_sphere_area
 from .metrics import GeometryError, mass_vector
-from .spheres import _closed_form, sphere_report
+from .spheres import _closed_form, _symmetry, sphere_report
 
 __all__ = [
     "FitIllConditioned",
@@ -129,9 +129,7 @@ def adm_flux(spec, r, q=32):
     # fd mode's stencil also builds d2g (n^4)
     entries = n ** 4 if spec.derivative_mode == "fd" else n ** 3
     total = 0.0
-    for x, w in SphereQuadrature(n, q).sample(
-        [r], spec.family.rotationally_symmetric, entries
-    ):
+    for x, w in SphereQuadrature(n, q).sample([r], _symmetry(spec), entries):
         V = mass_vector(spec, x)[0]
         total += float(np.dot(w, np.einsum("nj,nj->n", V, x / r)))
     return flux_constant(n) * total
@@ -183,19 +181,11 @@ def fg_detail(spec, r, q=32, report=None):
     if report.rho_min <= 0.0:
         raise ZeroRhoMin(f"min induced scalar curvature {report.rho_min} <= 0 at r={r}")
     ratio = (n - 2.0) / (n - 1.0)
-    closed = _closed_form(spec, r)
-    if closed is not None:
-        # closed conformal forms give maxH2/rho_min = (1 + s)^2 with
-        # s = 2 r U'/((n-2) U); expanding 1 - (1+s)^2 avoids the large-r
-        # cancellation that otherwise grows like eps * r^{n-2}
-        u, du = closed
-        s = 2.0 * r * du / ((n - 2.0) * u)
-        bracket = -s * (2.0 + s)
-    else:
-        bracket = 1.0 - ratio * report.maxH2 / report.rho_min
+    bracket = _bracket(spec, r, report)
     value = 0.5 * (report.area / unit_sphere_area(n)) ** ratio * bracket
     return {
         "fg": value,
+        "bracket": bracket,
         "r": float(r),
         "area": report.area,
         "maxH2": report.maxH2,
@@ -207,6 +197,23 @@ def fg_detail(spec, r, q=32, report=None):
     }
 
 
+def _bracket(spec, r, report):
+    """The factor 1 - ((n-2)/(n-1)) maxH2 / rho_min of fg(S_r), for
+    rho_min > 0; it is positive exactly when the hypothesis
+    rho_min > ((n-2)/(n-1)) maxH2 of the inequality fg <= m holds."""
+    n = spec.n
+    closed = _closed_form(spec, r)
+    if closed is not None:
+        # closed conformal forms give maxH2/rho_min = (1 + s)^2 with
+        # s = 2 r U'/((n-2) U); expanding 1 - (1+s)^2 avoids the large-r
+        # cancellation that otherwise grows like eps * r^{n-2}, and a
+        # sphere in a flat cavity (U' = 0) gets exactly 0
+        u, du = closed
+        s = 2.0 * r * du / ((n - 2.0) * u)
+        return -s * (2.0 + s)
+    return 1.0 - (n - 2.0) / (n - 1.0) * report.maxH2 / report.rho_min
+
+
 def fg_limit(spec, radii, q=32):
     """Extrapolate fg(S_r) to r = infinity with a c0 + c1/r model."""
     return extrapolate(radii, [fg(spec, r, q=q) for r in radii], 1.0)
@@ -215,13 +222,16 @@ def fg_limit(spec, radii, q=32):
 def penrose_like_check(spec, r, q=32, mass=None):
     """Check rho_min > ratio * maxH2 and, when it holds, fg(S_r) <= mass.
 
+    The hypothesis is decided as rho_min > 0 and a positive fg bracket,
+    computed as fg_detail computes it, so that an exact tie (a sphere in a
+    flat cavity) reads false in every dimension rather than by rounding.
     mass defaults to the family's exact mass when known, else the flux
     extrapolation.  Returns a record of every quantity involved.
     """
     n = spec.n
     report = sphere_report(spec, r, q=q)
     ratio = (n - 2.0) / (n - 1.0)
-    hypothesis = report.rho_min > ratio * report.maxH2
+    hypothesis = report.rho_min > 0.0 and _bracket(spec, r, report) > 0.0
     if mass is None:
         mass = spec.family.mass_hint
     if mass is None:

@@ -245,6 +245,9 @@ class Family:
 
     name = "abstract"
     rotationally_symmetric = False
+    #: unit vector a when g is invariant under the rotations that fix a
+    #: (g(R x) = R g(x) R^T for every R in O(n) with R a = a), else None
+    axis = None
     has_analytic_derivatives = False
     #: decay exponent p of the ADM flux residual, used by extrapolation fits
     flux_decay_order = None
@@ -416,7 +419,8 @@ class AsymptoticallySchwarzschildFamily(Family):
 
     w(x) = (1 + |x|^2)^{-(n-1)/2} so that h = O(r^{1-n}), dh = O(r^{-n}),
     d2h = O(r^{-n-1}); B is a constant symmetric matrix (default e1 x e1,
-    which breaks rotational symmetry).
+    which breaks rotational symmetry).  The family has an axis exactly
+    when B = a I + b v v^T: the axis is v, or e1 when B = a I.
     """
 
     name = "AsymptoticallySchwarzschild"
@@ -429,11 +433,11 @@ class AsymptoticallySchwarzschildFamily(Family):
         self.m = m
         self.c = c
         self.base = schwarzschild(n, m, inner_radius=inner_radius).family
-        if direction is None:
-            B = np.zeros((n, n))
-            B[0, 0] = 1.0
-        else:
+        B = _default_direction(n)
+        if direction is not None:
             B = np.asarray(direction, dtype=float)
+            if B.shape != (n, n):
+                raise ValueError(f"direction must be an {n} x {n} matrix")
             B = 0.5 * (B + B.T)
         self.B = B
         # the entries (i, j) where c w B adds to the base's jet
@@ -441,6 +445,7 @@ class AsymptoticallySchwarzschildFamily(Family):
         # g = F I + c w B with w > 0 has lowest eigenvalue F + w lowest; with
         # c B positive semidefinite (lowest = 0) F > 0 suffices
         self._lowest = min(0.0, float(np.linalg.eigvalsh(c * B)[0]))
+        self.axis = _axis_of(B)
         self.flux_decay_order = 1.0
         self.mass_hint = float(m)
         self.inner_radius = inner_radius
@@ -496,7 +501,33 @@ class AsymptoticallySchwarzschildFamily(Family):
         return out
 
     def params_json(self):
-        return {"m": self.m, "c": self.c}
+        params = {"m": self.m, "c": self.c}
+        if not np.array_equal(self.B, _default_direction(self.n)):
+            params["direction"] = self.B.tolist()
+        return params
+
+
+def _default_direction(n):
+    """B = e1 e1^T, the perturbation's default direction."""
+    B = np.zeros((n, n))
+    B[0, 0] = 1.0
+    return B
+
+
+def _axis_of(B):
+    """The unit axis v of a symmetric B = a I + b v v^T (e1 when B = a I),
+    or None when B has no such form: n - 1 of its eigenvalues agree to a
+    few ulp of max |B|."""
+    n = B.shape[0]
+    lam, vec = np.linalg.eigh(B)
+    tol = 8.0 * EPS * np.max(np.abs(B))
+    if lam[-1] - lam[0] <= tol:
+        return np.eye(n)[0]
+    if lam[-1] - lam[1] <= tol:
+        return vec[:, 0]
+    if lam[-2] - lam[0] <= tol:
+        return vec[:, -1]
+    return None
 
 
 class ScaledFamily(Family):
@@ -516,6 +547,8 @@ class ScaledFamily(Family):
         b = base_spec.family
         self.n = b.n
         self.rotationally_symmetric = b.rotationally_symmetric
+        # the dilation commutes with every rotation
+        self.axis = b.axis
         self.has_analytic_derivatives = b.has_analytic_derivatives
         self.flux_decay_order = b.flux_decay_order
         self.inner_radius = self.lam * b.inner_radius
@@ -810,7 +843,8 @@ def _spec_from_json(doc, n):
     if fam == "HarmonicallyFlat":
         return harmonically_flat(n, p["a"], **kw)
     if fam == "AsymptoticallySchwarzschild":
-        return asymptotically_schwarzschild(n, p["m"], c=p.get("c", 0.1), **kw)
+        return asymptotically_schwarzschild(
+            n, p["m"], c=p.get("c", 0.1), direction=p.get("direction"), **kw)
     if fam == "ShellConformal":
         from . import shells  # deferred: shells imports this module
 

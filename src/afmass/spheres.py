@@ -15,7 +15,10 @@ The pointwise functions always take the generic route.  The sphere-wide
 sphere_area and sphere_report use the closed conformal formulas whenever
 the family has a radial profile U (g = U^{4/(n-2)} delta, U constant on
 each sphere); the formulas are also the test suite's oracle for the
-generic route.
+generic route.  Otherwise they evaluate the generic route at the nodes the
+family's symmetry needs (_symmetry): one node for a rotationally symmetric
+family, one meridian of q nodes about the family's axis in analytic mode,
+else the full angular grid.
 """
 
 import math
@@ -96,6 +99,23 @@ def conformal_sphere_scalar_curvature(n, r, u_value):
     return u_value ** (-4.0 / (n - 2)) * (n - 1) * (n - 2) / r ** 2
 
 
+def _symmetry(spec):
+    """The `symmetry` of SphereQuadrature.sample for an integral or node
+    extremum of a scalar invariant of spec (the flux density V.x/r, the area
+    density, H, rho, div V, R sqrt(det g)): True, one node, for a
+    rotationally symmetric family; the family's axis, one meridian, in
+    analytic mode; else False, the full grid.  Finite-difference stencils
+    lie along the coordinate axes, so in fd mode the invariant is evaluated
+    with an error that varies around the axis: fd specs keep the grid (whose
+    q^{n-1} nodes the benchmark's fd jobs count)."""
+    family = spec.family
+    if family.rotationally_symmetric:
+        return True
+    if family.axis is not None and spec.derivative_mode == "analytic":
+        return family.axis
+    return False
+
+
 def _closed_form(spec, r):
     """(U(r), U'(r)) when the closed conformal formulas apply, else None."""
     profile = spec.family.radial_profile
@@ -173,11 +193,9 @@ def sphere_area(spec, r, q=32):
     closed = _closed_form(spec, r)
     if closed is not None:
         return conformal_sphere_area(n, r, closed[0])
-    # for a rotationally symmetric metric the density is constant on S_r
     return sum(
         float(np.dot(w, _geometry_at(spec, r, x, 0)[0]))
-        for x, w in SphereQuadrature(n, q).sample(
-            [r], spec.family.rotationally_symmetric, n * n)
+        for x, w in SphereQuadrature(n, q).sample([r], _symmetry(spec), n * n)
     )
 
 
@@ -216,9 +234,7 @@ def sphere_report(spec, r, q=32):
     maxH2 = 0.0
     rho_min = math.inf
     rho_max = -math.inf
-    # one node stands for the sphere of a rotationally symmetric metric
-    for x, w in SphereQuadrature(n, q).sample(
-            [r], spec.family.rotationally_symmetric, n ** 4):
+    for x, w in SphereQuadrature(n, q).sample([r], _symmetry(spec), n ** 4):
         density, H, rho = _geometry_at(spec, r, x, 2)
         area += float(np.dot(w, density))
         H_min = min(H_min, float(H.min()))

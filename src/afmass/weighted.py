@@ -25,6 +25,7 @@ from .curvature import scalar_curvature
 from .geometry import SphereQuadrature
 from .mass import _decay_exponent, adm_flux, extrapolate, flux_constant
 from .metrics import mass_vector, metric_jet
+from .spheres import _symmetry
 
 __all__ = [
     "WeightedNormParams",
@@ -69,6 +70,8 @@ def weighted_seminorm(spec, params, reference=None):
     n = spec.n
     if params.k > 2:
         raise ValueError("derivative order at most 2 is supported")
+    # the largest tensor component is no invariant of a rotation about an
+    # axis, so a family with an axis still takes the full grid here
     symmetric = spec.family.rotationally_symmetric and (
         reference is None or reference.family.rotationally_symmetric
     )
@@ -113,7 +116,7 @@ def _volume_quadrature(spec, fn, inner, outer, q, radial_q=64):
     total = 0.0
     for lo, hi in radial_panels(inner, outer, spec.family.radial_breakpoints):
         for x, w in quad.sample(
-            0.5 * (hi - lo) * (xg + 1.0) + lo, spec.family.rotationally_symmetric,
+            0.5 * (hi - lo) * (xg + 1.0) + lo, _symmetry(spec),
             n ** 4, radial_weights=0.5 * (hi - lo) * wg,
         ):
             total += float(np.dot(w, fn(spec, x)))

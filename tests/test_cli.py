@@ -60,6 +60,30 @@ class TestAdmMassCommand:
         assert main(["--config", cfg, "--out", str(out), "--quadrature", "16"]) == 0
         assert read_json(out / "adm_mass.json")["config"]["q"] == 16
 
+    def test_direction_reaches_the_metric(self, tmp_path, monkeypatch):
+        # an AS metric whose direction has no axis takes the full grid
+        specs = []
+        original = afmass.mass.adm_flux
+
+        def recording(spec, r, q):
+            specs.append(spec)
+            return original(spec, r, q=q)
+
+        monkeypatch.setattr(afmass.mass, "adm_flux", recording)
+        direction = [[0.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, -1.0]]
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass", "radii": [50, 100, 200, 400], "q": 8,
+            "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                     "params": {"m": 1.0, "c": 0.3, "direction": direction}},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert specs[0].family.B.tolist() == direction
+        assert specs[0].family.axis is None
+        doc = read_json(out / "adm_mass.json")
+        assert doc["result"]["value"] == pytest.approx(1.0, abs=1e-3)
+        assert doc["config"]["spec"]["params"]["direction"] == direction
+
 
 class TestConfigValidation:
     def test_empty_radii_exit_2(self, tmp_path):
@@ -179,6 +203,35 @@ class TestConfigValidation:
         assert main(["--config", cfg, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("direction", [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+        [1.0, 0.0, 0.0],
+        "diag",
+        [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["2x2", "ragged", "vector", "string", "string-entry", "bool-entry"])
+    def test_malformed_direction_exit_2(self, tmp_path, capsys, direction):
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass", "radii": [50, 100], "q": 4,
+            "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                     "params": {"m": 1.0, "c": 0.3, "direction": direction}},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_direction_entry_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"command": "adm-mass", "radii": [50, 100], "q": 4, "spec": '
+            '{"n": 3, "family": "AsymptoticallySchwarzschild", "params": '
+            '{"m": 1.0, "direction": [[1, 0, 0], [0, 1e400, 0], [0, 0, 1]]}}}'
+        )
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "direction entry must be a finite number" in capsys.readouterr().err
 
     def test_invalid_spec_rejected(self):
         cfg = RunConfig({"command": "adm-mass", "spec": {"n": 3, "family": "Nope"}})

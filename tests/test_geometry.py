@@ -128,6 +128,51 @@ def test_symmetric_sample_is_one_node_per_radius():
     )
 
 
+def _sphere_moment(n, k):
+    """int_{S^{n-1}} (u.a)^{2k} dA = omega_{n-1} (2k-1)!! / (n (n+2) ... (n+2k-2))."""
+    out = unit_sphere_area(n)
+    for j in range(k):
+        out *= (2 * j + 1) / (n + 2 * j)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_meridian_rule_is_exact_to_degree_2q_minus_1(n):
+    v = np.linspace(-1.0, 2.0, n)
+    for q in range(2, 17):
+        quad = SphereQuadrature(n, q)
+        for axis in (np.eye(n)[0], v / np.linalg.norm(v)):
+            (x, w), = quad.sample([1.0], axis, n ** 4)
+            assert x.shape == (q, n)
+            assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-15)
+            t = x @ axis
+            assert np.all(np.diff(t) > 0.0)
+            assert w.sum() == pytest.approx(unit_sphere_area(n), rel=1e-14)
+            for k in range(q):
+                assert float(np.dot(w, t ** (2 * k))) == pytest.approx(
+                    _sphere_moment(n, k), rel=1e-14), (q, k)
+            # the rule is symmetric: odd powers of t vanish
+            assert abs(float(np.dot(w, t ** (2 * q - 1)))) < 1e-14
+
+
+def test_meridian_sample_covers_every_radius():
+    # q nodes per radius, r^{n-1} and the radial weight folded in, in blocks
+    n, q = 5, 6
+    quad = SphereQuadrature(n, q)
+    axis = np.eye(n)[2]
+    (u, w_unit), = quad.sample([1.0], axis, 1)
+    radii = np.array([2.0, 3.0, 7.0])
+    pieces = list(quad.sample(radii, axis, BLOCK_ENTRIES // 4,
+                              radial_weights=[0.5, 1.0, 2.0]))
+    assert [x.shape[0] for x, _ in pieces] == [4, 4, 4, 4, 2]
+    x = np.concatenate([x for x, _ in pieces])
+    w = np.concatenate([w for _, w in pieces])
+    assert np.allclose(x, np.concatenate([r * u for r in radii]), rtol=0, atol=1e-14)
+    assert np.allclose(w, np.concatenate(
+        [rw * r ** (n - 1) * w_unit for r, rw in zip(radii, (0.5, 1.0, 2.0))]),
+        rtol=1e-15, atol=0)
+
+
 def test_generic_node_interior():
     for n in range(2, 8):
         phi = SphereQuadrature(n, 16).generic_node()

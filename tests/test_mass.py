@@ -208,6 +208,15 @@ class TestPenroseLikeCheck:
         assert rec["hypothesis_holds"] and rec["inequality_holds"]
         assert rec["fg"] == pytest.approx(shell_mass(n), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_flat_cavity_is_an_exact_tie(self, n):
+        # inside the 8th shell (support [4, 8]) g is flat up to a constant
+        # factor: rho_min = ratio maxH2 exactly, so the strict hypothesis
+        # fails in every dimension, whatever the rounding of the two sides
+        rec = penrose_like_check(shell_metric(n, 8), 2.0)
+        assert rec["hypothesis_holds"] is False
+        assert rec["fg"] is None and rec["inequality_holds"] is None
+
     def test_dipole(self):
         spec = conformally_flat(
             3, harmonic_dipole_field(3, 0.5, 0.3), mass_hint=1.0
@@ -260,3 +269,31 @@ def test_grid_flux_builds_no_dense_dg_at_n7():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
+
+
+def _no_axis(n):
+    """A traceless direction B with n distinct eigenvalues: no axis, so the
+    full grid, and a perturbation whose flux averages out over spheres."""
+    return np.diag(np.arange(n) - 0.5 * (n - 1))
+
+
+def test_grid_flux_memory_is_bounded_without_an_axis_at_n7():
+    # the default AS direction has an axis and takes one meridian; this one
+    # has none, so its flux runs on the full n = 7, q = 7 grid (117,649
+    # nodes), whose dense dg would take 32 MiB a block
+    spec = asymptotically_schwarzschild(7, 1.0, c=0.3, direction=_no_axis(7))
+    assert spec.family.axis is None
+    tracemalloc.start()
+    try:
+        flux = adm_flux(spec, 100.0, q=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    assert flux == pytest.approx(1.0, abs=2e-3)
+
+
+def test_axial_adm_mass_at_n7():
+    # one meridian of 16 nodes per sphere; the full 16^6 grid takes 30-50 s
+    est = adm_mass(asymptotically_schwarzschild(7, 1.0), q=16)
+    assert est.value == pytest.approx(1.0, abs=1e-3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -547,3 +549,66 @@ class TestJsonRoundTrip:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             metric_from_json({"n": 3, "family": "Nope", "params": {}})
+
+    @pytest.mark.parametrize("direction", [
+        np.diag([0.0, 1.0, 0.0]),
+        [[1.0, 2.0, 0.0], [0.0, -1.0, 0.5], [3.0, 0.0, 0.25]],
+    ], ids=["axis-e2", "no-axis"])
+    def test_direction(self, direction):
+        spec = asymptotically_schwarzschild(3, 1.0, c=0.2, direction=direction)
+        doc = metric_to_json(spec)
+        assert doc["params"]["direction"] == spec.family.B.tolist()
+        back = metric_from_json(json.loads(json.dumps(doc)))
+        assert np.array_equal(back.family.B, spec.family.B)
+        assert metric_to_json(back) == doc
+        x = np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]])
+        assert np.array_equal(metric_at(back, x), metric_at(spec, x))
+        default = asymptotically_schwarzschild(3, 1.0, c=0.2)
+        assert not np.allclose(metric_at(back, x), metric_at(default, x))
+
+    def test_default_direction_document_unchanged(self):
+        # the default B = e1 e1 writes no direction, explicit or implied
+        expected = ('{"n": 3, "family": "AsymptoticallySchwarzschild", '
+                    '"params": {"m": 1.0, "c": 0.2}, "derivative_mode": "analytic"}')
+        for direction in (None, np.diag([1.0, 0.0, 0.0])):
+            spec = asymptotically_schwarzschild(3, 1.0, c=0.2, direction=direction)
+            assert json.dumps(metric_to_json(spec)) == expected
+
+    def test_direction_shape_checked(self):
+        with pytest.raises(ValueError):
+            asymptotically_schwarzschild(3, 1.0, direction=np.eye(2))
+
+
+def _unit_or_flipped(axis, v):
+    """axis equals the unit vector v up to sign."""
+    return min(np.abs(axis - v).max(), np.abs(axis + v).max()) < 1e-14
+
+
+class TestAxis:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_asymptotically_schwarzschild(self, n):
+        e = np.eye(n)
+        assert np.array_equal(asymptotically_schwarzschild(n, 1.0).family.axis, e[0])
+        axis = asymptotically_schwarzschild(
+            n, 1.0, direction=np.diag([0.0, 2.0] + [0.0] * (n - 2))).family.axis
+        assert _unit_or_flipped(axis, e[1])
+        # B = a I + b v v^T in floating point, for a v off every coordinate axis
+        v = np.linspace(1.0, 2.0, n)
+        v /= np.linalg.norm(v)
+        for a, b in ((0.5, -1.5), (0.0, 1.0), (-3.0, 0.25)):
+            B = a * np.eye(n) + b * np.outer(v, v)
+            axis = asymptotically_schwarzschild(n, 1.0, direction=B).family.axis
+            assert _unit_or_flipped(axis, v)
+        # B = a I is invariant under every rotation: any unit vector is an axis
+        axis = asymptotically_schwarzschild(n, 1.0, direction=2.0 * e).family.axis
+        assert np.linalg.norm(axis) == pytest.approx(1.0, rel=1e-15)
+        for B in (np.diag(np.arange(1.0, n + 1)), _random_direction(n)):
+            assert asymptotically_schwarzschild(n, 1.0, direction=B).family.axis is None
+
+    def test_wrappers_and_fields(self):
+        spec = asymptotically_schwarzschild(4, 1.0, direction=np.diag([0, 0, 1.0, 0]))
+        assert np.array_equal(scaled(spec, 2.5).family.axis, spec.family.axis)
+        # a translation and a non-radial conformal factor keep no axis
+        assert translated(spec, np.zeros(4)).family.axis is None
+        assert conformally_flat(4, harmonic_dipole_field(4, 0.5, 0.2)).family.axis is None
+        assert schwarzschild(4, 1.0).family.axis is None

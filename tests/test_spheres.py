@@ -5,12 +5,14 @@ import pytest
 
 from afmass import curvature, spheres
 from afmass.geometry import SphereQuadrature, sphere_chart, unit_sphere_area
+from afmass.mass import adm_flux
 from afmass.metrics import (
     asymptotically_schwarzschild,
     euclidean,
     harmonic_dipole_field,
     conformally_flat,
     metric_at,
+    scaled,
     schwarzschild,
     translated,
 )
@@ -23,6 +25,7 @@ from afmass.spheres import (
     sphere_area,
     sphere_report,
 )
+from afmass.weighted import _volume_quadrature, d_operator_at, matter_integral
 
 # closed-form sphere data frozen from the conformal formulas:
 # n=3, m=1, r=10 and n=5, m=2, r=4
@@ -172,6 +175,71 @@ class TestChartFreeOracles:
         assert sphere_area(spec, 10.0, q=16) == pytest.approx(pullback, rel=1e-13)
 
 
+def _no_axis(n):
+    """A traceless direction B with n distinct eigenvalues, so that
+    asymptotically_schwarzschild(n, m, direction=B) has no axis."""
+    return np.diag(np.arange(n) - 0.5 * (n - 1))
+
+
+class TestAxialRoute:
+    # the default B = e1 e1 has the axis e1: analytic sphere integrals and
+    # extrema take one meridian of q nodes, the translated chart the grid
+    @pytest.mark.parametrize("n,grid_q", [(3, 32), (4, 32), (5, 16)])
+    def test_matches_the_full_grid(self, n, grid_q):
+        spec = asymptotically_schwarzschild(n, 1.0, c=0.3)
+        grid = translated(spec, np.zeros(n))
+        r = 10.0
+        assert adm_flux(spec, r, q=8) == pytest.approx(
+            adm_flux(grid, r, q=grid_q), rel=1e-12)
+        assert sphere_area(spec, r, q=8) == pytest.approx(
+            sphere_area(grid, r, q=grid_q), rel=1e-12)
+        axial = sphere_report(spec, r, q=8)
+        full = sphere_report(grid, r, q=grid_q)
+        assert axial.area == pytest.approx(full.area, rel=1e-12)
+        # node extrema: the meridian and the grid place different nodes
+        for key in ("H_min", "H_max", "maxH2", "rho_min", "rho_max"):
+            assert getattr(axial, key) == pytest.approx(
+                getattr(full, key), rel=1e-3), key
+
+    def test_volume_integrals_match_the_full_grid(self):
+        spec = asymptotically_schwarzschild(3, 1.0, c=0.3)
+        grid = translated(spec, np.zeros(3))
+        assert matter_integral(spec, 2.0, 4.0, q=8, radial_q=8) == pytest.approx(
+            matter_integral(grid, 2.0, 4.0, q=32, radial_q=8), rel=1e-12)
+        assert _volume_quadrature(spec, d_operator_at, 2.0, 4.0, 8, 8) == \
+            pytest.approx(_volume_quadrature(grid, d_operator_at, 2.0, 4.0, 32, 8),
+                          rel=1e-12)
+
+    @pytest.mark.parametrize("name,per_sphere", [
+        ("analytic", 4), ("scaled", 4), ("fd", 16), ("no-axis", 16),
+    ])
+    def test_nodes_per_sphere(self, monkeypatch, name, per_sphere):
+        n, q = 3, 4
+        spec = {
+            "analytic": asymptotically_schwarzschild(n, 1.0, c=0.3),
+            "scaled": scaled(asymptotically_schwarzschild(n, 1.0, c=0.3), 2.0),
+            "fd": asymptotically_schwarzschild(n, 1.0, c=0.3, derivative_mode="fd"),
+            "no-axis": asymptotically_schwarzschild(n, 1.0, c=0.3,
+                                                    direction=_no_axis(n)),
+        }[name]
+        counts = []
+        original = SphereQuadrature.sample
+
+        def counting(self, radii, *args, **kwargs):
+            nodes = 0
+            for x, w in original(self, radii, *args, **kwargs):
+                nodes += x.shape[0]
+                yield x, w
+            counts.append(nodes / np.size(radii))
+
+        monkeypatch.setattr(SphereQuadrature, "sample", counting)
+        adm_flux(spec, 50.0, q=q)
+        sphere_area(spec, 50.0, q=q)
+        sphere_report(spec, 50.0, q=q)
+        matter_integral(spec, 4.0, 8.0, q=q, radial_q=2)
+        assert counts == [per_sphere] * 4
+
+
 class TestSphereReport:
     def test_symmetric_fast_path_matches_generic(self):
         spec = schwarzschild(3, 1.0)
@@ -204,7 +272,9 @@ class TestSphereReport:
                             counting("blocks", spheres._geometry_at))
         monkeypatch.setattr(curvature, "_lowered_christoffel",
                             counting("christoffel", curvature._lowered_christoffel))
-        sphere_report(asymptotically_schwarzschild(5, 1.0), 40.0, q=12)
+        # a direction without an axis keeps the full grid: 12^4 nodes, 4 blocks
+        sphere_report(asymptotically_schwarzschild(5, 1.0, direction=_no_axis(5)),
+                      40.0, q=12)
         assert calls == {"blocks": 4, "christoffel": 4}
 
     def test_csv_row_layout(self):
