@@ -29,6 +29,6 @@ print()
 print("the flux picks up only the 1/r^{n-2} tail: adding a harmonic dipole")
 from afmass import conformally_flat, harmonic_dipole_field
 
-spec = conformally_flat(3, harmonic_dipole_field(3, a=0.5, b=2.0), mass_hint=1.0)
+spec = conformally_flat(3, harmonic_dipole_field(3, a=0.5, b=2.0))
 est = adm_mass(spec, radii=radii, q=16)
 print(f"  U = 1 + 0.5/r + 2 x^1/r^3  ->  mass {est.value:.6f}  (expected 1)")

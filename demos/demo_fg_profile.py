@@ -24,7 +24,7 @@ for r in (10.0, 50.0, 200.0):
 
 print()
 print("with a dipole in the conformal factor the approach is first order")
-dip = conformally_flat(3, harmonic_dipole_field(3, a=0.5, b=2.0), mass_hint=1.0)
+dip = conformally_flat(3, harmonic_dipole_field(3, a=0.5, b=2.0))
 prev = None
 for r in (50.0, 100.0, 200.0, 400.0):
     v = fg(dip, r, q=16)

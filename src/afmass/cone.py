@@ -158,16 +158,14 @@ def geodesic_curvature_integral(surface, r):
     return 2.0 * math.pi * float(surface.df(np.array([float(r)]))[0])
 
 
-def total_gauss_curvature(surface, r, radial_q=None):
+def total_gauss_curvature(surface, r):
     """int_{B_r} K dA = 2 pi (f'(0) - f'(r)) for a capped profile.
 
-    Evaluated by panel-wise Gauss quadrature of K f dr (the closed form
-    2 pi (1 - f'(r)) is the oracle in the tests, not used here)."""
+    Evaluated by panel-wise 128-node Gauss quadrature of K f dr (the closed
+    form 2 pi (1 - f'(r)) is the oracle in the tests, not used here)."""
     if not surface.has_cap:
         raise MissingCap("profile is not regular at r = 0")
     r = float(r)
-    if radial_q is None:
-        radial_q = 128
     edges = [0.0]
     t = surface.transition_radius
     # the cap boundary is always a panel edge (f is only piecewise smooth
@@ -176,7 +174,7 @@ def total_gauss_curvature(surface, r, radial_q=None):
         edges.append(t)
         t *= 2.0
     edges.append(r)
-    xg, wg = np.polynomial.legendre.leggauss(radial_q)
+    xg, wg = np.polynomial.legendre.leggauss(128)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         s = 0.5 * (hi - lo) * (xg + 1.0) + lo
@@ -186,11 +184,11 @@ def total_gauss_curvature(surface, r, radial_q=None):
     return 2.0 * math.pi * total
 
 
-def cone_mass(surface, radii=(4.0, 8.0, 16.0, 32.0), consistency_tol=1e-6):
+def cone_mass(surface, radii=(4.0, 8.0, 16.0, 32.0)):
     """Angle-defect mass 1 - alpha, extrapolated from finite radii.
 
     Computes both the turning-angle route and the Gauss-Bonnet route at
-    every radius, checks they agree, and extrapolates 1 - f'(r) with a
+    every radius, checks they agree to 1e-6, and extrapolates 1 - f'(r) with a
     c0 + c1 r^{-p} model (p = 2 covers both the cap and the default
     perturbation)."""
     radii = tuple(float(r) for r in radii)
@@ -206,7 +204,7 @@ def cone_mass(surface, radii=(4.0, 8.0, 16.0, 32.0), consistency_tol=1e-6):
             gb.append(total / (2.0 * math.pi) + (1 - surface.euler))
     if gb:
         worst = max(abs(a - b) for a, b in zip(turning, gb))
-        if worst > consistency_tol:
+        if worst > 1e-6:
             raise EstimatesDisagree(
                 f"turning-angle and curvature-integral estimates differ by {worst:.3e}"
             )
@@ -238,35 +236,61 @@ def cone_blow_up_profile(surface, i):
 class Cone2DFamily(Family):
     """Cartesian-chart wrapper of a conical surface (for window machinery).
 
-    In coordinates x = (r cos theta, r sin theta) the metric is
-    delta + (f(r)^2/r^2 - 1) (dtheta-part); derivatives by FD.  It is
+    In coordinates x = (r cos theta, r sin theta) the metric
+    dr^2 + f(r)^2 dtheta^2 is g = I + s(r) T with T = r^2 I - x x^T, the
+    tangential projector times r^2, and s = (f^2 - r^2) / r^4.  It is
     positive definite where f != 0; NotPositiveDefinite elsewhere."""
 
     name = "Cone2D"
     excludes_origin = True
-    has_analytic_derivatives = False
-    rotationally_symmetric = True
+    symmetry = True
 
-    def __init__(self, surface, inner_radius=0.0):
+    def __init__(self, surface):
         self.surface = surface
         self.n = 2
-        self.inner_radius = inner_radius
-        self.flux_decay_order = 1.0
-        self.mass_hint = 1.0 - surface.alpha
 
-    def metric(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def jet(self, x, order):
+        """[g, dg, d2g][:order + 1] from f, f', f'' at r = |x|, by the
+        product rule on s(r) T(x): d_k s = s' x_k / r and
+        d_k d_l s = s'' x_k x_l / r^2 + s' (delta_kl / r - x_k x_l / r^3),
+        d_k T_ij = 2 x_k delta_ij - delta_ik x_j - x_i delta_jk and
+        d_k d_l T_ij = 2 delta_kl delta_ij - delta_ik delta_jl - delta_il delta_jk."""
         r = np.linalg.norm(x, axis=1)
         f = self.surface.f(r)
         if np.any(f == 0.0):
             raise NotPositiveDefinite(
                 f"{self.name}: f = 0 at r = {r[f == 0.0][:3]}"
             )
-        # radial/tangential projectors: g = P_rad + (f/r)^2 P_tan
-        nhat = x / r[:, None]
-        P = np.einsum("ni,nj->nij", nhat, nhat)
-        ratio = (f / r) ** 2
-        return P + ratio[:, None, None] * (np.eye(2)[None] - P)
+        eye = np.eye(2)
+        xx = np.einsum("ni,nj->nij", x, x)
+        T = (r * r)[:, None, None] * eye - xx
+        s = (f * f - r * r) / r ** 4
+        jet = [eye + s[:, None, None] * T]
+        if order == 0:
+            return jet
+        df = self.surface.df(r)
+        # s1 = s'(r) and, below, s2 = s''(r)
+        s1 = 2.0 * f * df / r ** 4 - 4.0 * f * f / r ** 5 + 2.0 / r ** 3
+        ds = (s1 / r)[:, None] * x
+        dT = (2.0 * np.einsum("nk,ij->nkij", x, eye)
+              - np.einsum("ik,nj->nkij", eye, x)
+              - np.einsum("ni,jk->nkij", x, eye))
+        jet.append(np.einsum("nk,nij->nkij", ds, T) + s[:, None, None, None] * dT)
+        if order == 1:
+            return jet
+        d2f = self.surface.d2f(r)
+        s2 = (2.0 * (df * df + f * d2f) / r ** 4 - 16.0 * f * df / r ** 5
+              + 20.0 * f * f / r ** 6 - 6.0 / r ** 4)
+        d2s = ((s2 - s1 / r) / r ** 2)[:, None, None] * xx + (s1 / r)[:, None, None] * eye
+        d2T = (2.0 * np.einsum("kl,ij->klij", eye, eye)
+               - np.einsum("ik,jl->klij", eye, eye)
+               - np.einsum("il,jk->klij", eye, eye))
+        cross = np.einsum("nk,nlij->nklij", ds, dT)
+        jet.append(
+            np.einsum("nkl,nij->nklij", d2s, T) + cross + cross.transpose(0, 2, 1, 3, 4)
+            + s[:, None, None, None, None] * d2T
+        )
+        return jet
 
     def params_json(self):
         out = {"alpha": self.surface.alpha}
@@ -275,7 +299,6 @@ class Cone2DFamily(Family):
 
 
 def cone_metric_spec(surface, **kw):
-    kw.setdefault("derivative_mode", "fd")
     return MetricSpec(Cone2DFamily(surface), **kw)
 
 

@@ -1,8 +1,7 @@
 """Asymptotically flat metrics in a single coordinate chart.
 
-Each metric family evaluates the matrix g_ij(x) and, where closed forms
-exist, its first and second coordinate derivatives, batched over points:
-an analytic family writes one `jet`, an fd-only family only `metric`.
+Each metric family evaluates the matrix g_ij(x) and its first and second
+coordinate derivatives in closed form, batched over points, in one `jet`.
 The flux functionals take the mass vector V_j = d_i g_ij - d_j g_ii
 (mass_vector), which a family with a closed form writes without the jet.
 Specs are immutable; evaluation is pure.
@@ -244,11 +243,11 @@ class Family:
     mass and sequence machinery."""
 
     name = "abstract"
-    rotationally_symmetric = False
-    #: unit vector a when g is invariant under the rotations that fix a
-    #: (g(R x) = R g(x) R^T for every R in O(n) with R a = a), else None
-    axis = None
-    has_analytic_derivatives = False
+    #: the `symmetry` of SphereQuadrature.sample: True when g is invariant
+    #: under every rotation (g(R x) = R g(x) R^T for every R in O(n)), a
+    #: unit vector a when it is invariant under those that fix a (R a = a),
+    #: else False
+    symmetry = False
     #: decay exponent p of the ADM flux residual, used by extrapolation fits
     flux_decay_order = None
     #: analytic ADM mass when the family knows it
@@ -264,8 +263,7 @@ class Family:
 
     def jet(self, x, order):
         """[g, dg, d2g][:order + 1] at the points x (N, n), in the layout of
-        afmass.curvature.  A subclass overrides jet, or only metric when it
-        has no analytic derivatives (order 0 then comes from metric).
+        afmass.curvature.  Every family writes it in closed form.
 
         g is positive definite at every point: a family raises
         NotPositiveDefinite (or its subclass NonPositiveConformalFactor)
@@ -275,11 +273,10 @@ class Family:
         The arrays are fresh: they share no memory with the family or with
         an earlier call, so the caller owns them and may modify them in
         place (the wrapper families scale or add into their base's jet)."""
-        if order > 0:
-            raise NotImplementedError(f"{self.name} has no analytic derivatives")
-        return [self.metric(x)]
+        raise NotImplementedError(f"{self.name} has no jet")
 
     def metric(self, x):
+        """g at the points x: jet(x, 0)[0], what finite differences evaluate."""
         return self.jet(x, 0)[0]
 
     def mass_vector(self, x, order):
@@ -312,8 +309,7 @@ class Family:
 
 class Euclidean(Family):
     name = "Euclidean"
-    rotationally_symmetric = True
-    has_analytic_derivatives = True
+    symmetry = True
     flux_decay_order = 1.0
     mass_hint = 0.0
 
@@ -344,17 +340,17 @@ class ConformalFamily(Family):
     `factor` is a ScalarField, or a RadialProfile, which is lifted to a
     RadialField and kept as `radial_profile` (the closed sphere forms key
     on it); a radial family is rotationally symmetric, its flux residual
-    decays like r^{2-n} and its mass is 2a from the profile's tail.  `name`
-    and `params` are the JSON identity; without params the family is not
-    serializable.
+    decays like r^{2-n} and its mass is 2a from the profile's tail.  A
+    field's flux residual is taken to decay like 1/r, and its mass is not
+    known.  `name` and `params` are the JSON identity; without params the
+    family is not serializable.
     """
 
-    has_analytic_derivatives = True
     excludes_origin = True
+    flux_decay_order = 1.0
 
     def __init__(self, n, factor, name="ConformallyFlat", params=None,
-                 inner_radius=0.0, flux_decay_order=None, mass_hint=None,
-                 radial_breakpoints=()):
+                 inner_radius=0.0, radial_breakpoints=()):
         self.n = n
         self.name = name
         self.params = params
@@ -362,15 +358,12 @@ class ConformalFamily(Family):
         self.radial_breakpoints = tuple(radial_breakpoints)
         if isinstance(factor, RadialProfile):
             self.radial_profile = factor
-            self.rotationally_symmetric = True
-            if flux_decay_order is None:
-                flux_decay_order = float(n - 2)
-            if mass_hint is None and factor.tail_coefficient is not None:
-                mass_hint = 2.0 * factor.tail_coefficient
+            self.symmetry = True
+            self.flux_decay_order = float(n - 2)
+            if factor.tail_coefficient is not None:
+                self.mass_hint = 2.0 * factor.tail_coefficient
             factor = RadialField(factor)
         self.field = factor
-        self.flux_decay_order = 1.0 if flux_decay_order is None else flux_decay_order
-        self.mass_hint = mass_hint
 
     def _factor_jet(self, x, order):
         """[F, dF, d2F][:order + 1] of F = U^e, e = 4/(n-2): dF = e U^{e-1}
@@ -424,15 +417,14 @@ class AsymptoticallySchwarzschildFamily(Family):
     """
 
     name = "AsymptoticallySchwarzschild"
-    has_analytic_derivatives = True
-    rotationally_symmetric = False
     excludes_origin = True
+    flux_decay_order = 1.0
 
-    def __init__(self, n, m, c=0.1, direction=None, inner_radius=0.0):
+    def __init__(self, n, m, c=0.1, direction=None):
         self.n = n
         self.m = m
         self.c = c
-        self.base = schwarzschild(n, m, inner_radius=inner_radius).family
+        self.base = schwarzschild(n, m).family
         B = _default_direction(n)
         if direction is not None:
             B = np.asarray(direction, dtype=float)
@@ -445,10 +437,8 @@ class AsymptoticallySchwarzschildFamily(Family):
         # g = F I + c w B with w > 0 has lowest eigenvalue F + w lowest; with
         # c B positive semidefinite (lowest = 0) F > 0 suffices
         self._lowest = min(0.0, float(np.linalg.eigvalsh(c * B)[0]))
-        self.axis = _axis_of(B)
-        self.flux_decay_order = 1.0
+        self.symmetry = _axis_of(B)
         self.mass_hint = float(m)
-        self.inner_radius = inner_radius
 
     def _weight_jet(self, x, order, f):
         """[w, dw, d2w][:order + 1] of w = s^p, s = 1 + |x|^2, p = -(n-1)/2:
@@ -516,7 +506,7 @@ def _default_direction(n):
 
 def _axis_of(B):
     """The unit axis v of a symmetric B = a I + b v v^T (e1 when B = a I),
-    or None when B has no such form: n - 1 of its eigenvalues agree to a
+    or False when B has no such form: n - 1 of its eigenvalues agree to a
     few ulp of max |B|."""
     n = B.shape[0]
     lam, vec = np.linalg.eigh(B)
@@ -527,7 +517,7 @@ def _axis_of(B):
         return vec[:, 0]
     if lam[-2] - lam[0] <= tol:
         return vec[:, -1]
-    return None
+    return False
 
 
 class ScaledFamily(Family):
@@ -546,10 +536,8 @@ class ScaledFamily(Family):
         self.lam = float(lam)
         b = base_spec.family
         self.n = b.n
-        self.rotationally_symmetric = b.rotationally_symmetric
         # the dilation commutes with every rotation
-        self.axis = b.axis
-        self.has_analytic_derivatives = b.has_analytic_derivatives
+        self.symmetry = b.symmetry
         self.flux_decay_order = b.flux_decay_order
         self.inner_radius = self.lam * b.inner_radius
         self.excludes_origin = b.excludes_origin
@@ -611,8 +599,6 @@ class TranslatedFamily(Family):
         self.offset = np.asarray(offset, dtype=float)
         if self.offset.shape != (self.n,):
             raise ValueError("offset dimension mismatch")
-        self.rotationally_symmetric = False
-        self.has_analytic_derivatives = b.has_analytic_derivatives
         self.flux_decay_order = b.flux_decay_order
         self.mass_hint = b.mass_hint
 
@@ -646,8 +632,8 @@ class TranslatedFamily(Family):
 class MetricSpec:
     """Declarative description of a charted metric.
 
-    derivative_mode selects analytic derivatives (when the family has them)
-    or central finite differences with step fd_step (default step rule:
+    derivative_mode selects the family's analytic derivatives or central
+    finite differences with step fd_step (default step rule:
     eps^{1/3} max(1, |x|) for first derivatives, eps^{1/4} max(1, |x|) for
     second derivatives).
     """
@@ -658,11 +644,8 @@ class MetricSpec:
 
     def __post_init__(self):
         if self.derivative_mode not in ("analytic", "fd"):
-            raise ValueError("derivative_mode must be 'analytic' or 'fd'")
-        if self.derivative_mode == "analytic" and not self.family.has_analytic_derivatives:
             raise ValueError(
-                f"family {self.family.name} has no analytic derivatives; use fd"
-            )
+                f"derivative_mode must be 'analytic' or 'fd', got {self.derivative_mode!r}")
 
     @property
     def n(self):
@@ -689,13 +672,9 @@ def harmonically_flat(n, a, **kw):
     )
 
 
-def conformally_flat(n, u_field, mass_hint=None, flux_decay_order=None,
-                     inner_radius=0.0, **kw):
+def conformally_flat(n, u_field, **kw):
     """Conformal metric from a RadialProfile or a ScalarField."""
-    return MetricSpec(ConformalFamily(
-        n, u_field, inner_radius=inner_radius,
-        flux_decay_order=flux_decay_order, mass_hint=mass_hint,
-    ), **kw)
+    return MetricSpec(ConformalFamily(n, u_field), **kw)
 
 
 def asymptotically_schwarzschild(n, m, c=0.1, direction=None, **kw):
@@ -807,7 +786,7 @@ def metric_to_json(spec):
         "n": spec.n,
         "family": spec.family.name,
         "params": spec.family.params_json(),
-        "derivative_mode": "fd" if spec.derivative_mode == "fd" else "analytic",
+        "derivative_mode": spec.derivative_mode,
         **({"fd_step": spec.fd_step} if spec.fd_step is not None else {}),
     }
 
@@ -828,14 +807,7 @@ def metric_from_json(doc):
 def _spec_from_json(doc, n):
     fam = doc["family"]
     p = doc.get("params", {})
-    kw = {}
-    mode = doc.get("derivative_mode", "analytic")
-    if mode not in ("analytic", "fd"):
-        raise ValueError(f"derivative_mode must be 'analytic' or 'fd', got {mode!r}")
-    if mode == "fd":
-        kw["derivative_mode"] = "fd"
-    if "fd_step" in doc:
-        kw["fd_step"] = doc["fd_step"]
+    kw = {key: doc[key] for key in ("derivative_mode", "fd_step") if key in doc}
     if fam == "Euclidean":
         return euclidean(n, **kw)
     if fam == "Schwarzschild":

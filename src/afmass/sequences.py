@@ -206,13 +206,15 @@ def _fit_exponent(indices, distances):
 EXPERIMENT_KINDS = ("blow_up", "escaping", "shells", "constant")
 
 
-def run_semicontinuity_experiment(kind, n=3, mass=1.0, indices=(2, 4, 8, 16),
+def run_semicontinuity_experiment(kind, n=3, indices=(2, 4, 8, 16),
                                   q=16, half_width=0.5, grid_q=4):
     """Run one canonical mass-semicontinuity experiment.
 
+    blow_up, escaping and constant start from Schwarzschild of mass 1.
+
     blow_up   the homothety sequence i^2 g seen in zoomed windows at an
               off-center point; windows flatten at rate 1/i while the
-              masses i^{n-2} m grow without bound.
+              masses i^{n-2} grow without bound.
     escaping  unit windows around centers marching to infinity; flattening
               rate |center|^{-(n-2)} for a mass-carrying tail.
     shells    matter shells pushed outward; members are flat on any fixed
@@ -225,8 +227,8 @@ def run_semicontinuity_experiment(kind, n=3, mass=1.0, indices=(2, 4, 8, 16),
     indices = tuple(int(i) for i in indices)
 
     if kind == "constant":
-        spec = schwarzschild(n, mass)
-        masses = tuple(adm_mass(spec, q=q).value for _ in indices)
+        m = adm_mass(schwarzschild(n, 1.0), q=q).value
+        masses = tuple(m for _ in indices)
         distances = tuple(0.0 for _ in indices)
         return ExperimentReport(
             label=f"constant sequence (n={n})", kind=kind, indices=indices,
@@ -236,8 +238,8 @@ def run_semicontinuity_experiment(kind, n=3, mass=1.0, indices=(2, 4, 8, 16),
         )
 
     if kind == "blow_up":
-        spec = schwarzschild(n, mass)
-        p = np.full(n, 3.0 * max(1.0, mass) / math.sqrt(n))
+        spec = schwarzschild(n, 1.0)
+        p = np.full(n, 3.0 / math.sqrt(n))
         masses = tuple(
             adm_mass(scaled(spec, float(i)), q=q).value for i in indices
         )
@@ -249,20 +251,20 @@ def run_semicontinuity_experiment(kind, n=3, mass=1.0, indices=(2, 4, 8, 16),
         limit_mass = 0.0
         details = {"center": list(p)}
     elif kind == "escaping":
-        spec = schwarzschild(n, mass)
+        spec = schwarzschild(n, 1.0)
         m_i = adm_mass(spec, q=q).value
         masses = tuple(m_i for _ in indices)
         distances = []
         for i in indices:
             center = np.zeros(n)
-            center[0] = float(i) * 4.0 * max(1.0, mass)
+            center[0] = float(i) * 4.0
             distances.append(
                 c2_window_distance(escaping_window(spec, center, half_width, grid_q))
             )
         distances = tuple(distances)
         expected = float(n - 2)
         limit_mass = 0.0
-        details = {"direction": "x1", "speed": 4.0 * max(1.0, mass)}
+        details = {"direction": "x1", "speed": 4.0}
     else:  # shells
         masses = []
         distances = []

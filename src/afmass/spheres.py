@@ -102,18 +102,15 @@ def conformal_sphere_scalar_curvature(n, r, u_value):
 def _symmetry(spec):
     """The `symmetry` of SphereQuadrature.sample for an integral or node
     extremum of a scalar invariant of spec (the flux density V.x/r, the area
-    density, H, rho, div V, R sqrt(det g)): True, one node, for a
-    rotationally symmetric family; the family's axis, one meridian, in
-    analytic mode; else False, the full grid.  Finite-difference stencils
-    lie along the coordinate axes, so in fd mode the invariant is evaluated
-    with an error that varies around the axis: fd specs keep the grid (whose
-    q^{n-1} nodes the benchmark's fd jobs count)."""
-    family = spec.family
-    if family.rotationally_symmetric:
-        return True
-    if family.axis is not None and spec.derivative_mode == "analytic":
-        return family.axis
-    return False
+    density, H, rho, div V, R sqrt(det g)): the family's symmetry, except
+    that an fd spec with an axis takes the full grid.  Finite-difference
+    stencils lie along the coordinate axes, so in fd mode the invariant is
+    evaluated with an error that varies around the axis: fd specs keep the
+    grid (whose q^{n-1} nodes the benchmark's fd jobs count)."""
+    symmetry = spec.family.symmetry
+    if symmetry is not True and spec.derivative_mode == "fd":
+        return False
+    return symmetry
 
 
 def _closed_form(spec, r):

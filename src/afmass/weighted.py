@@ -72,8 +72,8 @@ def weighted_seminorm(spec, params, reference=None):
         raise ValueError("derivative order at most 2 is supported")
     # the largest tensor component is no invariant of a rotation about an
     # axis, so a family with an axis still takes the full grid here
-    symmetric = spec.family.rotationally_symmetric and (
-        reference is None or reference.family.rotationally_symmetric
+    symmetric = spec.family.symmetry is True and (
+        reference is None or reference.family.symmetry is True
     )
     worst = 0.0
     for x, _ in SphereQuadrature(n, max(2, params.angular_q)).sample(

@@ -80,9 +80,7 @@ def test_criterion_2_quasilocal_limit_and_residual_halving():
         assert elapsed < 30.0, (n, elapsed)
     # a metric whose conformal factor has a dipole term shows the generic
     # first-order residual decay explicitly
-    dipole = conformally_flat(
-        3, harmonic_dipole_field(3, a=0.5, b=2.0), mass_hint=1.0
-    )
+    dipole = conformally_flat(3, harmonic_dipole_field(3, a=0.5, b=2.0))
     residuals = [fg(dipole, r, q=16) - 1.0 for r in (50.0, 100.0, 200.0)]
     for a, b in zip(residuals, residuals[1:]):
         assert 1.6 < a / b < 2.4, residuals
@@ -196,7 +194,7 @@ def test_criterion_6_cone_angle_mass_and_gauss_bonnet():
             )
             assert abs(residual) < 1e-8, (alpha, r, residual)
         # the two estimators must agree within 1e-6 or cone_mass raises
-        est = cone_mass(surface, consistency_tol=1e-6)
+        est = cone_mass(surface)
         assert abs(est.value - (1.0 - alpha)) < 1e-10, (alpha, est.value)
     assert time.monotonic() - t0 < 5.0
 

@@ -79,7 +79,7 @@ class TestAdmMassCommand:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out)]) == 0
         assert specs[0].family.B.tolist() == direction
-        assert specs[0].family.axis is None
+        assert specs[0].family.symmetry is False
         doc = read_json(out / "adm_mass.json")
         assert doc["result"]["value"] == pytest.approx(1.0, abs=1e-3)
         assert doc["config"]["spec"]["params"]["direction"] == direction

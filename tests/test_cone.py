@@ -20,9 +20,17 @@ from afmass.cone import (
     perturbed_cone,
     total_gauss_curvature,
 )
-from afmass.metrics import metric_at
+from afmass.metrics import (
+    metric_at,
+    metric_from_json,
+    metric_jet,
+    metric_to_json,
+    scaled,
+    translated,
+)
 
 from cone_reference import reference_gauss_curvature
+from fd_reference import fd4_metric_derivatives
 
 
 class TestProfiles:
@@ -136,7 +144,7 @@ class TestConeMass:
 
     def test_estimator_agreement_enforced(self):
         # both routes agree to quadrature precision on regular surfaces
-        est = cone_mass(capped_cone(0.5), consistency_tol=1e-6)
+        est = cone_mass(capped_cone(0.5))
         assert est.value == pytest.approx(0.5, abs=1e-10)
 
     def test_inconsistent_surface_detected(self):
@@ -153,6 +161,17 @@ class TestConeMass:
         assert est.value == pytest.approx(0.3, abs=1e-4)
 
 
+CONES = (capped_cone(0.7), perturbed_cone(0.6, amplitude=0.2, tau=1.0))
+CONE_IDS = ("capped", "perturbed")
+
+
+def _cone_points(seed=0):
+    # inside the cap, near its edge r = 1, and out on the cone
+    r = np.array([0.3, 0.6, 0.9, 1.5, 3.0, 7.0, 20.0, 100.0])
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, len(r))
+    return r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
 class TestCartesianWrapper:
     def test_metric_rotation_structure(self):
         alpha = 0.7
@@ -164,8 +183,42 @@ class TestCartesianWrapper:
         expected = R @ np.diag([1.0, alpha ** 2]) @ R.T
         assert np.allclose(metric_at(spec, x)[0], expected, atol=1e-14)
 
-    def test_mass_hint(self):
-        assert cone_metric_spec(capped_cone(0.6)).family.mass_hint == pytest.approx(0.4)
+    @pytest.mark.parametrize("surface", CONES, ids=CONE_IDS)
+    def test_jet_matches_fd4_reference(self, surface):
+        spec = cone_metric_spec(surface)
+        assert spec.derivative_mode == "analytic"
+        x = _cone_points()
+        jet = metric_jet(spec, x, 2)
+        for p, (g, dg, d2g) in enumerate(zip(*jet)):
+            # a step of r / 500 keeps each stencil on one side of the cap edge
+            r = np.linalg.norm(x[p])
+            ref = fd4_metric_derivatives(spec.family.metric, x[p:p + 1], 2e-3 * r)
+            for d, want in zip((g, dg, d2g), ref):
+                assert np.abs(d - want[0]).max() <= 1e-8 * np.abs(want[0]).max()
+
+    @pytest.mark.parametrize("surface", CONES, ids=CONE_IDS)
+    def test_jet_matches_fd_mode(self, surface):
+        # one point per call: the fd step scales with the largest |x| of a call
+        for p in _cone_points():
+            analytic = metric_jet(cone_metric_spec(surface), p, 2)
+            fd = metric_jet(cone_metric_spec(surface, derivative_mode="fd"), p, 2)
+            assert np.array_equal(fd[0], analytic[0])
+            for d, want, rel in zip(fd[1:], analytic[1:], (1e-8, 1e-6)):
+                assert np.abs(d - want).max() <= rel * np.abs(want).max()
+
+    def test_scaled_and_translated(self):
+        base = cone_metric_spec(perturbed_cone(0.6, amplitude=0.2, tau=1.0))
+        x = _cone_points()
+        want = metric_jet(base, x, 2)
+        offset = np.array([0.3, -0.2])
+        for spec, y, lam in ((scaled(base, 2.5), 2.5 * x, 2.5),
+                             (translated(base, offset), x - offset, 1.0)):
+            assert spec.derivative_mode == "analytic"
+            for k, (d, w) in enumerate(zip(metric_jet(spec, y, 2), want)):
+                assert np.abs(lam ** k * d - w).max() <= 1e-12 * np.abs(w).max()
+            back = metric_from_json(metric_to_json(spec))
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(metric_jet(back, y, 2), metric_jet(spec, y, 2)))
 
 
 class TestConeExperiments:

@@ -241,6 +241,13 @@ JET_FAMILIES = {
 }
 
 
+def _cone():
+    """The analytic 2-d cone, a family without a closed mass vector."""
+    from afmass.cone import cone_metric_spec, perturbed_cone
+
+    return cone_metric_spec(perturbed_cone(0.6, amplitude=0.2, tau=1.0))
+
+
 def _jet_points(n, count=40, seed=3):
     # points at radii 0.7..30: inside, across and outside the shell support
     rng = np.random.default_rng(seed)
@@ -263,11 +270,11 @@ class TestJetInPlace:
                 scale = np.abs(r).max()
                 assert np.abs(d - r).max() <= 1e-15 * scale, (order, k)
 
-    @pytest.mark.parametrize("name", sorted(JET_FAMILIES) + ["Euclidean"])
+    @pytest.mark.parametrize("name", sorted(JET_FAMILIES) + ["Euclidean", "Cone2D"])
     def test_caller_owns_the_arrays(self, name):
-        n = 4
-        spec = euclidean(n) if name == "Euclidean" else JET_FAMILIES[name](n)
-        x = _jet_points(n, count=6)
+        spec = {"Euclidean": euclidean, "Cone2D": lambda n: _cone(),
+                **JET_FAMILIES}[name](4)
+        x = _jet_points(spec.n, count=6)
         first = spec.family.jet(x, 2)
         second = spec.family.jet(x, 2)
         for a in first:
@@ -312,10 +319,11 @@ class TestMassVector:
             _assert_traces_the_reference(
                 mass_vector(spec, x, order), spec.family, x, order)
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_default_traces_the_dense_jet(self, n):
-        # the base-class route of a family without a closed mass vector
-        family = JET_FAMILIES["AS-full-direction"](n).family
+        # the base-class route of a family without a closed mass vector: the
+        # cone at n = 2, else AS with a full direction
+        family = (_cone() if n == 2 else JET_FAMILIES["AS-full-direction"](n)).family
         x = _jet_points(n)
         for order in (1, 2):
             _assert_traces_the_reference(
@@ -418,9 +426,10 @@ class TestPositiveDefinite:
         surface = ConicalSurface(f=lambda r: r * (r - 2.0), df=lambda r: 2.0 * r - 2.0,
                                  d2f=lambda r: 2.0 + 0.0 * r, alpha=1.0)
         spec = cone_metric_spec(surface)
-        with pytest.raises(NotPositiveDefinite):
-            metric_at(spec, np.array([2.0, 0.0]))
-        assert metric_at(spec, np.array([3.0, 0.0])).shape == (2, 2)
+        for order in (0, 1, 2):
+            with pytest.raises(NotPositiveDefinite):
+                metric_jet(spec, np.array([2.0, 0.0]), order)
+            assert metric_jet(spec, np.array([3.0, 0.0]), order)[0].shape == (2, 2)
 
 
 class TestPointChecks:
@@ -541,10 +550,19 @@ class TestJsonRoundTrip:
     def test_cone(self):
         from afmass.cone import capped_cone, cone_metric_spec
 
-        spec = cone_metric_spec(capped_cone(0.7))
-        back = metric_from_json(metric_to_json(spec))
-        x = np.array([[2.0, 1.0]])
-        assert np.allclose(metric_at(spec, x), metric_at(back, x))
+        x = np.array([[2.0, 1.0], [0.5, -0.3]])
+        for mode in ("analytic", "fd"):
+            spec = cone_metric_spec(capped_cone(0.7), derivative_mode=mode)
+            doc = metric_to_json(spec)
+            assert doc["derivative_mode"] == mode
+            back = metric_from_json(json.loads(json.dumps(doc)))
+            assert back.derivative_mode == mode
+            assert metric_to_json(back) == doc
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(metric_jet(spec, x), metric_jet(back, x)))
+        # a document without a mode takes the analytic default
+        del doc["derivative_mode"]
+        assert metric_from_json(doc).derivative_mode == "analytic"
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -588,27 +606,30 @@ class TestAxis:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_asymptotically_schwarzschild(self, n):
         e = np.eye(n)
-        assert np.array_equal(asymptotically_schwarzschild(n, 1.0).family.axis, e[0])
+        assert np.array_equal(asymptotically_schwarzschild(n, 1.0).family.symmetry, e[0])
         axis = asymptotically_schwarzschild(
-            n, 1.0, direction=np.diag([0.0, 2.0] + [0.0] * (n - 2))).family.axis
+            n, 1.0, direction=np.diag([0.0, 2.0] + [0.0] * (n - 2))).family.symmetry
         assert _unit_or_flipped(axis, e[1])
         # B = a I + b v v^T in floating point, for a v off every coordinate axis
         v = np.linspace(1.0, 2.0, n)
         v /= np.linalg.norm(v)
         for a, b in ((0.5, -1.5), (0.0, 1.0), (-3.0, 0.25)):
             B = a * np.eye(n) + b * np.outer(v, v)
-            axis = asymptotically_schwarzschild(n, 1.0, direction=B).family.axis
+            axis = asymptotically_schwarzschild(n, 1.0, direction=B).family.symmetry
             assert _unit_or_flipped(axis, v)
         # B = a I is invariant under every rotation: any unit vector is an axis
-        axis = asymptotically_schwarzschild(n, 1.0, direction=2.0 * e).family.axis
+        axis = asymptotically_schwarzschild(n, 1.0, direction=2.0 * e).family.symmetry
         assert np.linalg.norm(axis) == pytest.approx(1.0, rel=1e-15)
         for B in (np.diag(np.arange(1.0, n + 1)), _random_direction(n)):
-            assert asymptotically_schwarzschild(n, 1.0, direction=B).family.axis is None
+            assert asymptotically_schwarzschild(n, 1.0, direction=B).family.symmetry is False
 
     def test_wrappers_and_fields(self):
         spec = asymptotically_schwarzschild(4, 1.0, direction=np.diag([0, 0, 1.0, 0]))
-        assert np.array_equal(scaled(spec, 2.5).family.axis, spec.family.axis)
-        # a translation and a non-radial conformal factor keep no axis
-        assert translated(spec, np.zeros(4)).family.axis is None
-        assert conformally_flat(4, harmonic_dipole_field(4, 0.5, 0.2)).family.axis is None
-        assert schwarzschild(4, 1.0).family.axis is None
+        assert np.array_equal(scaled(spec, 2.5).family.symmetry, spec.family.symmetry)
+        # a translation and a non-radial conformal factor keep no symmetry
+        assert translated(spec, np.zeros(4)).family.symmetry is False
+        assert conformally_flat(4, harmonic_dipole_field(4, 0.5, 0.2)).family.symmetry is False
+        # a radial factor, the plane and the cone are invariant under every rotation
+        for full in (schwarzschild(4, 1.0), scaled(schwarzschild(4, 1.0), 2.0),
+                     euclidean(4), _cone()):
+            assert full.family.symmetry is True

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from afmass import sequences
+from afmass.mass import adm_mass
 from afmass.metrics import (
     asymptotically_schwarzschild,
     metric_at,
@@ -199,11 +200,21 @@ class TestC2Distance:
 
 
 class TestExperiments:
-    def test_constant_sequence_equality(self):
+    def test_constant_sequence_equality(self, monkeypatch):
+        calls = []
+
+        def counting(spec, **kw):
+            calls.append(spec)
+            return adm_mass(spec, **kw)
+
+        # every member is the same metric: its mass is computed once
+        monkeypatch.setattr(sequences, "adm_mass", counting)
         rep = run_semicontinuity_experiment("constant", n=3, indices=(1, 2, 3))
+        assert len(calls) == 1
         assert rep.verdict
         assert rep.drop == 0.0
         assert all(d == 0.0 for d in rep.distances)
+        assert rep.masses == (rep.masses[0],) * 3
         assert rep.masses[0] == pytest.approx(1.0, rel=1e-3)
 
     @pytest.mark.parametrize("kind", ["blow_up", "escaping", "shells"])
