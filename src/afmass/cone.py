@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import legendre_rule
 from .mass import extrapolate
 from .metrics import Family, GeometryError, MetricSpec, NotPositiveDefinite
 
@@ -162,7 +163,9 @@ def total_gauss_curvature(surface, r):
     """int_{B_r} K dA = 2 pi (f'(0) - f'(r)) for a capped profile.
 
     Evaluated by panel-wise 128-node Gauss quadrature of K f dr (the closed
-    form 2 pi (1 - f'(r)) is the oracle in the tests, not used here)."""
+    form 2 pi (1 - f'(r)) is the oracle in the tests, not used here).  The
+    128-node rule is legendre_rule's, built once per process and shared by
+    every panel and call."""
     if not surface.has_cap:
         raise MissingCap("profile is not regular at r = 0")
     r = float(r)
@@ -174,7 +177,7 @@ def total_gauss_curvature(surface, r):
         edges.append(t)
         t *= 2.0
     edges.append(r)
-    xg, wg = np.polynomial.legendre.leggauss(128)
+    xg, wg = legendre_rule(128)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         s = 0.5 * (hi - lo) * (xg + 1.0) + lo

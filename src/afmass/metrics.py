@@ -633,7 +633,7 @@ class MetricSpec:
     """Declarative description of a charted metric.
 
     derivative_mode selects the family's analytic derivatives or central
-    finite differences with step fd_step (default step rule:
+    finite differences with step fd_step (default step rule, per point:
     eps^{1/3} max(1, |x|) for first derivatives, eps^{1/4} max(1, |x|) for
     second derivatives).
     """
@@ -700,10 +700,12 @@ def metric_jet(spec, x, order=2):
 
     Order 0 is the family's metric, analytic orders come from one family
     jet, and in fd mode each derivative order is one central stencil whose
-    first centre is g; with an explicit fd_step both orders share one
-    stencil.  Raises SingularPoint outside the valid chart region,
-    StepTooLarge when a stencil leaves it and NotPositiveDefinite where the
-    family's g is not positive definite (see Family.jet).
+    first centre is g; the default steps are per point, so a point's jet
+    does not depend on the other points of the call, and with an explicit
+    fd_step both orders share one stencil.  Raises SingularPoint outside
+    the valid chart region, StepTooLarge when a stencil leaves it and
+    NotPositiveDefinite where the family's g is not positive definite (see
+    Family.jet).
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -716,9 +718,9 @@ def metric_jet(spec, x, order=2):
         jet = family.jet(pts, order)
     else:
         h1, h2 = _fd_steps(spec, pts)
-        _check_stencil(spec, pts, 2.0 * (h1 if order == 1 else max(h1, h2)))
+        _check_stencil(spec, pts, 2.0 * (h1 if order == 1 else np.maximum(h1, h2)))
         jet = list(fd_metric_derivatives(family.metric, pts, h1)[:order + 1])
-        if order == 2 and h2 != h1:
+        if order == 2 and spec.fd_step is None:
             jet[2] = fd_metric_derivatives(family.metric, pts, h2)[2]
     return [d[0] for d in jet] if single else jet
 
@@ -764,9 +766,11 @@ def mass_vector(spec, x, order=1):
 
 
 def _fd_steps(spec, pts):
-    scale = np.max(np.maximum(1.0, np.linalg.norm(pts, axis=1)))
+    """The first- and second-derivative steps: the explicit fd_step for both,
+    else one step per point (N,) scaled by max(1, |x|)."""
     if spec.fd_step is not None:
         return spec.fd_step, spec.fd_step
+    scale = np.maximum(1.0, np.linalg.norm(pts, axis=1))
     return EPS ** (1.0 / 3.0) * scale, EPS ** 0.25 * scale
 
 

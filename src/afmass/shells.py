@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import unit_sphere_area
+from .geometry import legendre_rule, unit_sphere_area
 from .metrics import ConformalFamily, MetricSpec, RadialProfile
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 # support [lo, hi] of the default density; member i is supported in i [lo, hi]
 _SUPPORT = (0.5, 1.0)
 # Gauss-Legendre nodes and weights on [-1, 1] for every radial integral
-_XG, _WG = np.polynomial.legendre.leggauss(16)
+_XG, _WG = legendre_rule(16)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import scalar_curvature
-from .geometry import SphereQuadrature
+from .geometry import SphereQuadrature, legendre_rule
 from .mass import _decay_exponent, adm_flux, extrapolate, flux_constant
 from .metrics import mass_vector, metric_jet
 from .spheres import _symmetry
@@ -112,7 +112,7 @@ def _volume_quadrature(spec, fn, inner, outer, q, radial_q=64):
     """int_{inner<|x|<outer} fn dx with Gauss-Legendre radial panels."""
     n = spec.n
     quad = SphereQuadrature(n, q)
-    xg, wg = np.polynomial.legendre.leggauss(radial_q)
+    xg, wg = legendre_rule(radial_q)
     total = 0.0
     for lo, hi in radial_panels(inner, outer, spec.family.radial_breakpoints):
         for x, w in quad.sample(

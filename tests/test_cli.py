@@ -1,10 +1,15 @@
+import copy
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afmass
 import afmass.mass
@@ -487,3 +492,120 @@ class TestVersion:
         doc = load_strict(out / "error.json")
         assert doc["version"] == "0.1.0"
         assert doc["result"]["error"] == "NotPositiveDefinite"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a valid config document mutated
+
+FUZZ_DOCS = {
+    "adm-mass": {
+        "command": "adm-mass", "q": 4, "radii": [20.0, 40.0, 80.0, 160.0],
+        "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                 "params": {"m": 1.0, "c": 0.2}, "derivative_mode": "analytic"},
+    },
+    "fg-profile": {
+        "command": "fg-profile", "q": 4, "radii": [20.0, 40.0, 80.0, 160.0],
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1.0}},
+    },
+    "cone-angle": {
+        "command": "cone-angle", "q": 4, "alpha": 0.7,
+        "radii": [4.0, 8.0, 16.0, 32.0],
+        "perturbation": {"amplitude": 0.1, "tau": 1.0},
+    },
+}
+
+# the key paths of FUZZ_DOCS that a mutation may replace or delete
+FUZZ_PATHS = {
+    name: [path for path in (
+        ("command",), ("q",), ("radii",), ("radii", 0), ("radii", -1),
+        ("spec",), ("spec", "n"), ("spec", "family"), ("spec", "params"),
+        ("spec", "params", "m"), ("spec", "params", "c"),
+        ("spec", "derivative_mode"), ("spec", "fd_step"),
+        ("alpha",), ("perturbation",), ("perturbation", "amplitude"),
+        ("perturbation", "tau"),
+    ) if path[0] in doc]
+    for name, doc in FUZZ_DOCS.items()
+}
+
+MISSING = object()
+
+# wrong types, non-finite, huge, tiny and negative numbers; the integers stay
+# small where they are valid q or n, so no example asks for much work
+FUZZ_VALUES = st.sampled_from([
+    MISSING, None, "x", "", True, [], {}, [1.0], {"a": 1},
+    math.nan, math.inf, -math.inf, 1e300, -1e300, 10 ** 400,
+    -1, 0, 1, 2, 3, 7, 0.5, -0.5, 1e-300, 2.5,
+])
+
+
+def _mutated(name, path, value):
+    doc = copy.deepcopy(FUZZ_DOCS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is not MISSING:
+        parent[path[-1]] = value
+    elif isinstance(parent, list) or path[-1] in parent:
+        del parent[path[-1]]
+    return doc
+
+
+def _json_numbers(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _json_numbers(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _json_numbers(v)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
+
+def _csv_numbers(path):
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            for cell in row:
+                try:
+                    yield float(cell)
+                except ValueError:
+                    pass
+
+
+@st.composite
+def fuzz_configs(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    path = draw(st.sampled_from(FUZZ_PATHS[name]))
+    return _mutated(name, path, draw(FUZZ_VALUES))
+
+
+class TestConfigFuzz:
+    """Every mutated document gets a documented outcome: exit 0 with finite
+    strict-JSON reports, exit 1 with error.json, or exit 2 and no output."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(fuzz_configs())
+    def test_documented_outcome(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w") as fh:
+                # NaN and Infinity go out as the non-strict literals a
+                # hand-written document may hold
+                json.dump(doc, fh)
+            out = os.path.join(tmp, "out")
+            code = main(["--config", cfg, "--out", out])
+            assert code in (0, 1, 2)
+            written = sorted(os.listdir(out)) if os.path.isdir(out) else []
+            if code == 2:
+                assert written == []
+            else:
+                assert ("error.json" in written) == (code == 1)
+                assert written
+            for name in written:
+                path = os.path.join(out, name)
+                if name.endswith(".json"):
+                    numbers = list(_json_numbers(load_strict(path)))
+                else:
+                    numbers = list(_csv_numbers(path))
+                # an integer literal of any size is finite; 1e400 is not
+                assert all(isinstance(v, int) or math.isfinite(v)
+                           for v in numbers), (name, numbers)

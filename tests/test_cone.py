@@ -198,7 +198,7 @@ class TestCartesianWrapper:
 
     @pytest.mark.parametrize("surface", CONES, ids=CONE_IDS)
     def test_jet_matches_fd_mode(self, surface):
-        # one point per call: the fd step scales with the largest |x| of a call
+        # each point against its own scale
         for p in _cone_points():
             analytic = metric_jet(cone_metric_spec(surface), p, 2)
             fd = metric_jet(cone_metric_spec(surface, derivative_mode="fd"), p, 2)

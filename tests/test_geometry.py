@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afmass.cone import capped_cone, cone_mass
 from afmass.geometry import (
     BLOCK_ENTRIES,
     SphereQuadrature,
+    _gauss_jacobi,
     flat_angular_density,
+    legendre_rule,
     sphere_chart,
     unit_sphere_area,
 )
+from afmass.metrics import schwarzschild
+from afmass.weighted import mass_via_divergence
 
 # closed-form unit-sphere areas
 AREAS = {
@@ -185,3 +190,59 @@ def test_quadrature_rejects_bad_arguments():
         SphereQuadrature(1, 8)
     with pytest.raises(ValueError):
         SphereQuadrature(3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the rule factory: each fixed 1-d rule is built once per process
+
+
+@pytest.fixture
+def cold_rules():
+    """Empty rule caches, so each test sees its own first build."""
+    legendre_rule.cache_clear()
+    _gauss_jacobi.cache_clear()
+
+
+@pytest.fixture
+def leggauss_orders(monkeypatch):
+    """The orders q of every numpy leggauss build during the test."""
+    orders = []
+    build = np.polynomial.legendre.leggauss
+
+    def spy(q):
+        orders.append(q)
+        return build(q)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    return orders
+
+
+@pytest.mark.parametrize("q", [4, 16, 64, 96, 128])
+def test_legendre_rule_is_numpys_rule(cold_rules, q):
+    for got, want in zip(legendre_rule(q), np.polynomial.legendre.leggauss(q)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_rules_are_read_only(cold_rules):
+    for rule in (legendre_rule(8), _gauss_jacobi(8, 1.0)):
+        for a in rule:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def test_cone_mass_builds_its_rule_once(cold_rules, leggauss_orders):
+    cone_mass(capped_cone(0.7))
+    cone_mass(capped_cone(0.4))
+    assert leggauss_orders.count(128) == 1
+
+
+def test_mass_via_divergence_builds_its_radial_rule_once(cold_rules, leggauss_orders):
+    # one radial rule for the three annuli; SphereQuadrature builds q = 4
+    mass_via_divergence(schwarzschild(3, 1.0), q=4)
+    assert leggauss_orders.count(64) == 1
+
+
+def test_gauss_jacobi_rule_is_shared(cold_rules):
+    t, w = _gauss_jacobi(8, 1.0)
+    again = _gauss_jacobi(8, 1.0)
+    assert again[0] is t and again[1] is w

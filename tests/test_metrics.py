@@ -190,6 +190,20 @@ class TestMetricJet:
         assert np.allclose(jet[1], analytic[1], atol=1e-9)
         assert np.allclose(jet[2], analytic[2], atol=1e-6)
 
+    def test_fd_default_steps_are_per_point(self):
+        # a point's fd jet does not depend on the other points of its call
+        n = 4
+        x = np.random.default_rng(11).normal(size=(12, n))
+        x *= (np.geomspace(0.8, 100.0, 12) / np.linalg.norm(x, axis=1))[:, None]
+        spec = asymptotically_schwarzschild(n, 1.0, c=0.3, derivative_mode="fd")
+        jet = metric_jet(spec, x, 2)
+        for i, p in enumerate(x):
+            assert all(np.array_equal(d[i], e)
+                       for d, e in zip(jet, metric_jet(spec, p, 2)))
+        analytic = metric_jet(asymptotically_schwarzschild(n, 1.0, c=0.3), x, 2)
+        for d, want, rel in zip(jet[1:], analytic[1:], (1e-8, 1e-6)):
+            assert np.abs(d - want).max() <= rel * np.abs(want).max()
+
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):
             metric_jet(schwarzschild(3, 1.0), np.array([3.0, 0.0, 0.0]), 3)
