@@ -23,7 +23,7 @@ for alpha in (0.2, 0.4, 0.6, 0.8, 1.0):
     resid = (
         total_gauss_curvature(s, 16.0)
         + geodesic_curvature_integral(s, 16.0)
-        - 2.0 * math.pi * s.euler
+        - 2.0 * math.pi
     )
     print(f"{alpha:4.2f}    {est.value:.10f}  {1 - alpha:.2f}        {resid:+.2e}")
 

@@ -136,10 +136,13 @@ class RunConfig:
                 f"perturbation must be an object with 'amplitude' and 'tau', got {pert!r}"
             )
         if pert:
+            tau = _real(pert.get("tau", 1.0), "perturbation tau")
+            if tau <= 0.0:
+                raise ConfigInvalid(f"perturbation tau must be positive, got {tau}")
             return cone_mod.perturbed_cone(
                 alpha,
                 amplitude=_real(pert.get("amplitude", 0.1), "perturbation amplitude"),
-                tau=_real(pert.get("tau", 1.0), "perturbation tau"),
+                tau=tau,
             )
         return cone_mod.capped_cone(alpha)
 
@@ -317,13 +320,9 @@ def _cmd_sequence(cfg):
                 f"a window of resolution {kw['grid_q']} at n = {n} holds"
                 f" {entries} d2g entries; the limit is {MAX_WINDOW_ENTRIES}"
             )
-    rep = seq_mod.run_semicontinuity_experiment(
+    return _experiment_outputs(seq_mod.run_semicontinuity_experiment(
         kind, n=n, indices=cfg.indices(default=(2, 4, 8, 16)), q=cfg.q, **kw
-    )
-    return {
-        "json": {"experiment.json": rep.to_json()},
-        "csv": {"experiment.csv": (rep.csv_columns, rep.csv_rows())},
-    }
+    ))
 
 
 def _cmd_cone_angle(cfg):
@@ -340,9 +339,13 @@ def _cmd_cone_sequence(cfg):
             f"cone sequence kind must be one of {cone_mod.CONE_EXPERIMENT_KINDS}"
         )
     alpha = _opening(cfg.raw.get("alpha", 0.7))
-    rep = cone_mod.cone_semicontinuity_experiment(
+    return _experiment_outputs(cone_mod.cone_semicontinuity_experiment(
         kind, alpha=alpha, indices=cfg.indices(default=(4, 8, 16, 32))
-    )
+    ))
+
+
+def _experiment_outputs(rep):
+    """The reports of a sequence or cone-sequence experiment."""
     return {
         "json": {"experiment.json": rep.to_json()},
         "csv": {"experiment.csv": (rep.csv_columns, rep.csv_rows())},

@@ -12,8 +12,9 @@ Two independent routes compute it:
   int kappa_g ds = 2 pi f'(r) -> 2 pi alpha, so extrapolating
   1 - f'(r) gives the mass;
 
-* the Gauss-Bonnet route: int_{B_r} K dA = 2 pi chi - int kappa_g ds, so
-  (2 pi chi - total curvature) / (2 pi) - (chi - 1) has the same limit.
+* the Gauss-Bonnet route: every surface here closes up smoothly at r = 0,
+  a disc of Euler characteristic 1, so int_{B_r} K dA = 2 pi - int kappa_g ds
+  and the total curvature over 2 pi has the same limit.
 
 K = -f''/f is the closed form; the tests cross-check it with the generic
 Christoffel computation.
@@ -27,9 +28,9 @@ import numpy as np
 from .geometry import legendre_rule
 from .mass import extrapolate
 from .metrics import Family, GeometryError, MetricSpec, NotPositiveDefinite
+from .sequences import _experiment_report
 
 __all__ = [
-    "MissingCap",
     "EstimatesDisagree",
     "ConicalSurface",
     "capped_cone",
@@ -46,10 +47,6 @@ __all__ = [
 ]
 
 
-class MissingCap(GeometryError):
-    """Total curvature requested for a profile with no regular cap at r=0."""
-
-
 class EstimatesDisagree(GeometryError):
     """Geodesic-curvature and Gauss-Bonnet mass estimates are inconsistent."""
 
@@ -58,23 +55,20 @@ class EstimatesDisagree(GeometryError):
 class ConicalSurface:
     """Surface dr^2 + f(r)^2 dtheta^2 with analytic f, f', f''.
 
-    alpha is the asymptotic opening f(r)/r -> alpha; euler tells whether the
-    surface closes up smoothly at r = 0 (chi = 1) or the origin is excluded
-    (no cap; only annular quantities are defined)."""
+    alpha is the asymptotic opening f(r)/r -> alpha; the surface closes up
+    smoothly at r = 0 (f(0) = 0, f'(0) = 1), a disc of Euler characteristic 1."""
 
     f: callable
     df: callable
     d2f: callable
     alpha: float
-    euler: int = 1
-    has_cap: bool = True
     transition_radius: float = 1.0
     name: str = "cone"
     #: serialization extras (perturbation parameters etc.)
     meta: tuple = ()
 
 
-def capped_cone(alpha, name="capped_cone"):
+def capped_cone(alpha):
     """Cone of opening alpha smoothed to a C^2 cap inside r < 1.
 
     f(r) = r (alpha + (1 - alpha)(1 - r^2)^3) for r < 1, alpha r outside:
@@ -98,16 +92,18 @@ def capped_cone(alpha, name="capped_cone"):
         w = np.clip(1.0 - r ** 2, 0.0, None)
         return -18.0 * b * r * w ** 2 + 24.0 * b * r ** 3 * w
 
-    return ConicalSurface(f=f, df=df, d2f=d2f, alpha=alpha, euler=1,
-                          has_cap=True, transition_radius=1.0, name=name)
+    return ConicalSurface(f=f, df=df, d2f=d2f, alpha=alpha,
+                          transition_radius=1.0, name="capped_cone")
 
 
-def perturbed_cone(alpha, amplitude=0.1, tau=1.0, name="perturbed_cone"):
+def perturbed_cone(alpha, amplitude=0.1, tau=1.0):
     """Capped cone with a decaying radial perturbation of the circumference.
 
     f gains amplitude * r^{-tau} * z(r) with a C^2 cutoff z supported in
     r > 1, so the opening (and the mass) is unchanged while the approach to
-    the exact cone is O(r^{-tau})."""
+    the exact cone is O(r^{-tau}); tau must be positive."""
+    if not tau > 0.0:
+        raise ValueError(f"perturbation decay tau must be positive, got {tau}")
     base = capped_cone(alpha)
 
     # cutoff z(r) = (1 - 1/r^2)^3 for r > 1: C^2 at r = 1, -> 1 at infinity
@@ -139,8 +135,8 @@ def perturbed_cone(alpha, amplitude=0.1, tau=1.0, name="perturbed_cone"):
                 - 2.0 * amplitude * tau * r ** (-tau - 1.0) * dz(r)
                 + amplitude * r ** -tau * d2z(r))
 
-    return ConicalSurface(f=f, df=df, d2f=d2f, alpha=alpha, euler=1,
-                          has_cap=True, transition_radius=1.0, name=name,
+    return ConicalSurface(f=f, df=df, d2f=d2f, alpha=alpha,
+                          transition_radius=1.0, name="perturbed_cone",
                           meta=(("perturbation", amplitude), ("tau", tau)))
 
 
@@ -165,9 +161,8 @@ def total_gauss_curvature(surface, r):
     Evaluated by panel-wise 128-node Gauss quadrature of K f dr (the closed
     form 2 pi (1 - f'(r)) is the oracle in the tests, not used here).  The
     128-node rule is legendre_rule's, built once per process and shared by
-    every panel and call."""
-    if not surface.has_cap:
-        raise MissingCap("profile is not regular at r = 0")
+    every panel and call.  Raises NotPositiveDefinite where f <= 0 at a
+    node: the profile is then no surface of revolution."""
     r = float(r)
     edges = [0.0]
     t = surface.transition_radius
@@ -182,8 +177,13 @@ def total_gauss_curvature(surface, r):
     for lo, hi in zip(edges[:-1], edges[1:]):
         s = 0.5 * (hi - lo) * (xg + 1.0) + lo
         w = 0.5 * (hi - lo) * wg
-        K = gauss_curvature(surface, s)
-        total += float(np.dot(w, K * surface.f(s)))
+        f = surface.f(s)
+        if np.any(f <= 0.0):
+            raise NotPositiveDefinite(
+                f"{surface.name}: f <= 0 at r = {s[f <= 0.0][:3]}"
+            )
+        K = -surface.d2f(s) / f
+        total += float(np.dot(w, K * f))
     return 2.0 * math.pi * total
 
 
@@ -191,26 +191,22 @@ def cone_mass(surface, radii=(4.0, 8.0, 16.0, 32.0)):
     """Angle-defect mass 1 - alpha, extrapolated from finite radii.
 
     Computes both the turning-angle route and the Gauss-Bonnet route at
-    every radius, checks they agree to 1e-6, and extrapolates 1 - f'(r) with a
-    c0 + c1 r^{-p} model (p = 2 covers both the cap and the default
-    perturbation)."""
+    every radius, checks they agree to 1e-6 (a NaN on either route fails
+    the check), and extrapolates 1 - f'(r) with a c0 + c1 r^{-p} model
+    (p = 2 covers both the cap and the default perturbation)."""
     radii = tuple(float(r) for r in radii)
     turning = []
-    gb = []
     for r in radii:
         t = 1.0 - geodesic_curvature_integral(surface, r) / (2.0 * math.pi)
-        turning.append(t)
-        if surface.has_cap:
-            # int K = 2 pi chi - int kappa_g, so total/2pi + (1 - chi)
-            # has the same r -> infinity limit as 1 - f'(r)
-            total = total_gauss_curvature(surface, r)
-            gb.append(total / (2.0 * math.pi) + (1 - surface.euler))
-    if gb:
-        worst = max(abs(a - b) for a, b in zip(turning, gb))
-        if worst > 1e-6:
+        # int K = 2 pi - int kappa_g on the capped disc, so total / 2 pi
+        # has the same r -> infinity limit as 1 - f'(r)
+        gb = total_gauss_curvature(surface, r) / (2.0 * math.pi)
+        if not abs(t - gb) <= 1e-6:
             raise EstimatesDisagree(
-                f"turning-angle and curvature-integral estimates differ by {worst:.3e}"
+                "turning-angle and curvature-integral estimates differ by"
+                f" {abs(t - gb):.3e} at r = {r:g}"
             )
+        turning.append(t)
     return extrapolate(radii, turning, 2.0)
 
 
@@ -230,8 +226,8 @@ def cone_blow_up_profile(surface, i):
         return surface.d2f(np.asarray(r, dtype=float) / i) / i
 
     return ConicalSurface(
-        f=f, df=df, d2f=d2f, alpha=surface.alpha, euler=surface.euler,
-        has_cap=surface.has_cap, transition_radius=i * surface.transition_radius,
+        f=f, df=df, d2f=d2f, alpha=surface.alpha,
+        transition_radius=i * surface.transition_radius,
         name=f"{surface.name}@{i}",
     )
 
@@ -325,30 +321,33 @@ def _profile_c2_distance(prof, reference, rr):
 
 CONE_EXPERIMENT_KINDS = ("blow_up", "escaping", "constant")
 
+#: the annulus lo < r < hi (scaled by 4 i for escaping windows) and its
+#: number of sample radii on which cone experiments measure C^2 distances
+CONE_WINDOW = (0.5, 1.0)
+CONE_WINDOW_SAMPLES = 64
+
 
 def cone_semicontinuity_experiment(kind="blow_up", alpha=0.7,
-                                   indices=(4, 8, 16, 32),
-                                   window=(0.5, 1.0), samples=64,
-                                   amplitude=0.1, tau=1.0):
+                                   indices=(4, 8, 16, 32)):
     """Semicontinuity experiments for the cone-angle mass.
 
     blow_up   rescaled caps f_i(r) = i f(r/i): every member keeps mass
               1 - alpha, yet on a fixed annulus the surfaces flatten to the
               plane (limit mass 0) at C^2 rate i^{-2} -- a strict drop.
-    escaping  windows of a perturbed cone around escaping radii: the limit
-              is the exact cone, same mass, drop 0, rate i^{-(tau+1)}.
+    escaping  windows of perturbed_cone(alpha) around escaping radii: the
+              limit is the exact cone, same mass, drop 0, rate i^{-(tau+1)}
+              with tau = 1.
     constant  the same surface at every index; distances exactly zero.
     """
-    from .sequences import ExperimentReport, _fit_exponent
-
     if kind not in CONE_EXPERIMENT_KINDS:
         raise ValueError(f"kind must be one of {CONE_EXPERIMENT_KINDS}")
-    lo, hi = window
+    indices = tuple(int(i) for i in indices)
+    lo, hi = CONE_WINDOW
     masses = []
     distances = []
     if kind == "blow_up":
         base = capped_cone(alpha)
-        rr = np.linspace(lo, hi, samples)
+        rr = np.linspace(lo, hi, CONE_WINDOW_SAMPLES)
         for i in indices:
             prof = cone_blow_up_profile(base, float(i))
             # evaluation radii must clear the rescaled cap
@@ -360,30 +359,23 @@ def cone_semicontinuity_experiment(kind="blow_up", alpha=0.7,
         expected = 2.0
         label = f"cone cap blow-up (alpha={alpha})"
     elif kind == "escaping":
-        prof = perturbed_cone(alpha, amplitude=amplitude, tau=tau)
+        prof = perturbed_cone(alpha)
         exact = capped_cone(alpha)
         for i in indices:
-            rr = np.linspace(4.0 * i * lo, 4.0 * i * hi, samples)
+            rr = np.linspace(4.0 * i * lo, 4.0 * i * hi, CONE_WINDOW_SAMPLES)
             masses.append(cone_mass(prof, radii=tuple(2.0 ** k * i for k in range(2, 6))).value)
             distances.append(_profile_c2_distance(prof, exact, rr))
         limit_mass = 1.0 - alpha
-        expected = tau + 1.0
+        expected = 2.0
         label = f"escaping windows on perturbed cone (alpha={alpha})"
     else:
-        base = capped_cone(alpha)
-        m = cone_mass(base).value
+        m = cone_mass(capped_cone(alpha)).value
         masses = [m for _ in indices]
         distances = [0.0 for _ in indices]
         limit_mass = m
         expected = math.inf
         label = f"constant cone sequence (alpha={alpha})"
-    exponent = _fit_exponent(indices, distances)
-    liminf = min(masses[-2:]) if len(masses) >= 2 else masses[-1]
-    return ExperimentReport(
-        label=label, kind=f"cone_{kind}",
-        indices=tuple(int(i) for i in indices), masses=tuple(masses),
-        limit_mass=limit_mass, distances=tuple(distances), exponent=exponent,
-        expected_exponent=expected, verdict=liminf >= limit_mass - 1e-9,
-        drop=liminf - limit_mass,
-        details={"alpha": alpha, "window": list(window)},
+    return _experiment_report(
+        label, f"cone_{kind}", indices, masses, limit_mass, distances,
+        expected, {"alpha": alpha, "window": list(CONE_WINDOW)},
     )

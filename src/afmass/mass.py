@@ -110,12 +110,21 @@ def fit_inverse_power(radii, values, p):
 def extrapolate(radii, raw, p):
     """MassEstimate of the r -> infinity limit of raw samples at the radii.
 
-    Fits c0 + c1 r^{-p}; the error is |raw[-1] - c0| plus the fit residual."""
+    Fits c0 + c1 r^{-p}; the error is |raw[-1] - c0| plus the fit residual.
+    Raises FitIllConditioned when finite samples give a fit that is not
+    finite (the residual of samples near 1e200 overflows when squared)."""
     radii = tuple(float(r) for r in radii)
     raw = tuple(float(v) for v in raw)
     c0, c1, rms = fit_inverse_power(radii, raw, p)
+    error = abs(raw[-1] - c0) + rms
+    if all(map(math.isfinite, raw)) and not all(
+            map(math.isfinite, (c0, c1, error))):
+        raise FitIllConditioned(
+            f"the fit of finite samples overflows: c0 = {c0}, c1 = {c1},"
+            f" error = {error}"
+        )
     return MassEstimate(
-        value=c0, error=abs(raw[-1] - c0) + rms, radii=radii, raw=raw,
+        value=c0, error=error, radii=radii, raw=raw,
         model={"c0": c0, "c1": c1, "p": float(p)},
     )
 
@@ -135,20 +144,16 @@ def adm_flux(spec, r, q=32):
     return flux_constant(n) * total
 
 
-def default_mass_radii(base_radius, count=4):
-    """Geometric ladder base, 2*base, ... used for extrapolation."""
-    return tuple(base_radius * 2.0 ** k for k in range(count))
+def default_mass_radii(base_radius):
+    """Geometric ladder base, 2*base, 4*base, 8*base used for extrapolation."""
+    return tuple(base_radius * 2.0 ** k for k in range(4))
 
 
 def _decay_exponent(spec):
-    p = spec.n - 2
-    fam_p = getattr(spec.family, "flux_decay_order", None)
-    if fam_p is not None:
-        p = min(p, fam_p)
-    return max(p, 1)
+    return max(min(spec.n - 2, spec.family.flux_decay_order), 1)
 
 
-def adm_mass(spec, radii=None, q=32, p=None):
+def adm_mass(spec, radii=None, q=32):
     """Total mass: flux at several radii, extrapolated to r = infinity.
 
     The default ladder starts at or past twice the family's support radius
@@ -157,9 +162,8 @@ def adm_mass(spec, radii=None, q=32, p=None):
         radii = default_mass_radii(max(
             50.0 * 2.0 ** max(0, 5 - spec.n), 2.0 * spec.family.support_radius()
         ))
-    if p is None:
-        p = _decay_exponent(spec)
-    return extrapolate(radii, [adm_flux(spec, r, q=q) for r in radii], p)
+    return extrapolate(radii, [adm_flux(spec, r, q=q) for r in radii],
+                       _decay_exponent(spec))
 
 
 def fg(spec, r, q=32):
@@ -219,21 +223,20 @@ def fg_limit(spec, radii, q=32):
     return extrapolate(radii, [fg(spec, r, q=q) for r in radii], 1.0)
 
 
-def penrose_like_check(spec, r, q=32, mass=None):
+def penrose_like_check(spec, r, q=32):
     """Check rho_min > ratio * maxH2 and, when it holds, fg(S_r) <= mass.
 
     The hypothesis is decided as rho_min > 0 and a positive fg bracket,
     computed as fg_detail computes it, so that an exact tie (a sphere in a
     flat cavity) reads false in every dimension rather than by rounding.
-    mass defaults to the family's exact mass when known, else the flux
+    The mass is the family's exact mass when known, else the flux
     extrapolation.  Returns a record of every quantity involved.
     """
     n = spec.n
     report = sphere_report(spec, r, q=q)
     ratio = (n - 2.0) / (n - 1.0)
     hypothesis = report.rho_min > 0.0 and _bracket(spec, r, report) > 0.0
-    if mass is None:
-        mass = spec.family.mass_hint
+    mass = spec.family.mass_hint
     if mass is None:
         mass = adm_mass(spec, q=q).value
     record = {

@@ -249,7 +249,8 @@ class Family:
     #: else False
     symmetry = False
     #: decay exponent p of the ADM flux residual, used by extrapolation fits
-    flux_decay_order = None
+    #: (capped at n - 2 and raised to at least 1)
+    flux_decay_order = 1.0
     #: analytic ADM mass when the family knows it
     mass_hint = None
     #: radius of the excluded ball |x| <= inner_radius about the chart origin
@@ -310,7 +311,6 @@ class Family:
 class Euclidean(Family):
     name = "Euclidean"
     symmetry = True
-    flux_decay_order = 1.0
     mass_hint = 0.0
 
     def __init__(self, n):
@@ -347,7 +347,6 @@ class ConformalFamily(Family):
     """
 
     excludes_origin = True
-    flux_decay_order = 1.0
 
     def __init__(self, n, factor, name="ConformallyFlat", params=None,
                  inner_radius=0.0, radial_breakpoints=()):
@@ -418,7 +417,6 @@ class AsymptoticallySchwarzschildFamily(Family):
 
     name = "AsymptoticallySchwarzschild"
     excludes_origin = True
-    flux_decay_order = 1.0
 
     def __init__(self, n, m, c=0.1, direction=None):
         self.n = n

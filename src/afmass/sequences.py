@@ -203,6 +203,21 @@ def _fit_exponent(indices, distances):
     return -float(slope)
 
 
+def _experiment_report(label, kind, indices, masses, limit_mass, distances,
+                       expected, details):
+    """The report of every experiment kind, n-d and cone alike: fits the
+    window exponent and decides the verdict liminf mass_i >= limit_mass,
+    the liminf taken over the last two members, to within 1e-9."""
+    liminf = min(masses[-2:])
+    return ExperimentReport(
+        label=label, kind=kind, indices=tuple(indices), masses=tuple(masses),
+        limit_mass=limit_mass, distances=tuple(distances),
+        exponent=_fit_exponent(indices, distances), expected_exponent=expected,
+        verdict=liminf >= limit_mass - 1e-9, drop=liminf - limit_mass,
+        details=details,
+    )
+
+
 EXPERIMENT_KINDS = ("blow_up", "escaping", "shells", "constant")
 
 
@@ -228,32 +243,26 @@ def run_semicontinuity_experiment(kind, n=3, indices=(2, 4, 8, 16),
 
     if kind == "constant":
         m = adm_mass(schwarzschild(n, 1.0), q=q).value
-        masses = tuple(m for _ in indices)
-        distances = tuple(0.0 for _ in indices)
-        return ExperimentReport(
-            label=f"constant sequence (n={n})", kind=kind, indices=indices,
-            masses=masses, limit_mass=masses[0], distances=distances,
-            exponent=math.inf, expected_exponent=math.inf,
-            verdict=min(masses) >= masses[0] - 1e-12, drop=0.0,
-        )
-
-    if kind == "blow_up":
+        masses = [m for _ in indices]
+        distances = [0.0 for _ in indices]
+        expected = math.inf
+        limit_mass = m
+        details = {}
+    elif kind == "blow_up":
         spec = schwarzschild(n, 1.0)
         p = np.full(n, 3.0 / math.sqrt(n))
-        masses = tuple(
-            adm_mass(scaled(spec, float(i)), q=q).value for i in indices
-        )
-        distances = tuple(
+        masses = [adm_mass(scaled(spec, float(i)), q=q).value for i in indices]
+        distances = [
             c2_window_distance(blow_up_window(spec, p, i, half_width, grid_q))
             for i in indices
-        )
+        ]
         expected = 1.0
         limit_mass = 0.0
         details = {"center": list(p)}
     elif kind == "escaping":
         spec = schwarzschild(n, 1.0)
         m_i = adm_mass(spec, q=q).value
-        masses = tuple(m_i for _ in indices)
+        masses = [m_i for _ in indices]
         distances = []
         for i in indices:
             center = np.zeros(n)
@@ -261,7 +270,6 @@ def run_semicontinuity_experiment(kind, n=3, indices=(2, 4, 8, 16),
             distances.append(
                 c2_window_distance(escaping_window(spec, center, half_width, grid_q))
             )
-        distances = tuple(distances)
         expected = float(n - 2)
         limit_mass = 0.0
         details = {"direction": "x1", "speed": 4.0}
@@ -276,18 +284,9 @@ def run_semicontinuity_experiment(kind, n=3, indices=(2, 4, 8, 16),
                     escaping_window(spec_i, 0.21 * np.ones(n), half_width, grid_q)
                 )
             )
-        masses = tuple(masses)
-        distances = tuple(distances)
         expected = float(n - 2)
         limit_mass = 0.0
         details = {"member_mass": shell_mass(n)}
 
-    exponent = _fit_exponent(indices, distances)
-    liminf = min(masses[-2:])
-    return ExperimentReport(
-        label=f"{kind} sequence (n={n})", kind=kind, indices=indices,
-        masses=masses, limit_mass=limit_mass, distances=distances,
-        exponent=exponent, expected_exponent=expected,
-        verdict=liminf >= limit_mass - 1e-9,
-        drop=liminf - limit_mass, details=details,
-    )
+    return _experiment_report(f"{kind} sequence (n={n})", kind, indices,
+                              masses, limit_mass, distances, expected, details)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .curvature import scalar_curvature
 from .geometry import SphereQuadrature, legendre_rule
-from .mass import _decay_exponent, adm_flux, extrapolate, flux_constant
+from .mass import _decay_exponent, adm_flux, adm_mass, extrapolate, flux_constant
 from .metrics import mass_vector, metric_jet
 from .spheres import _symmetry
 
@@ -174,14 +174,14 @@ class DefectReport:
         return self.mass - self.matter
 
 
-def mass_matter_defect(spec, inner=None, outer=None, q=16, radial_q=96,
-                       mass=None):
+def mass_matter_defect(spec, inner=None, outer=None, q=16):
     """Mass minus the scalar-curvature integral (truncated at outer).
 
     For scalar-flat metrics the matter term vanishes and the defect is the
     mass itself; for matter concentrated in a compact shell the integral is
     effectively complete once outer clears the support.  The default outer
-    is twice the family's support radius, and at least 64."""
+    is twice the family's support radius, and at least 64.  The mass is the
+    family's exact mass when known, else the flux extrapolation."""
     n = spec.n
     if inner is None:
         inner = max(spec.family.inner_radius, 0.0)
@@ -189,11 +189,8 @@ def mass_matter_defect(spec, inner=None, outer=None, q=16, radial_q=96,
             inner = 1e-8
     if outer is None:
         outer = max(64.0, 2.0 * spec.family.support_radius())
+    mass = spec.family.mass_hint
     if mass is None:
-        mass = spec.family.mass_hint
-    if mass is None:
-        from .mass import adm_mass
-
         mass = adm_mass(spec, q=max(q, 16)).value
-    matter = matter_integral(spec, inner, outer, q=q, radial_q=radial_q)
+    matter = matter_integral(spec, inner, outer, q=q)
     return DefectReport(mass=float(mass), matter=matter)

@@ -190,7 +190,7 @@ def test_criterion_6_cone_angle_mass_and_gauss_bonnet():
             residual = (
                 total_gauss_curvature(surface, r)
                 + geodesic_curvature_integral(surface, r)
-                - 2.0 * math.pi * surface.euler
+                - 2.0 * math.pi
             )
             assert abs(residual) < 1e-8, (alpha, r, residual)
         # the two estimators must agree within 1e-6 or cone_mass raises

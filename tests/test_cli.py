@@ -320,6 +320,20 @@ class TestComputationFailure:
         assert sorted(os.listdir(out)) == ["error.json"]
         assert load_strict(out / "error.json")["result"]["error"] == exc.__name__
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_fit_exit_1(self, tmp_path):
+        # finite flux samples near 1e198, whose fit residual overflows
+        # when squared: no report with an infinite error
+        cfg = write_config(tmp_path, {
+            "command": "adm-mass", "q": 4, "radii": [20.0, 40.0, 80.0, 160.0],
+            "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                     "params": {"m": 1.0, "c": 1e200}},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["error.json"]
+        assert load_strict(out / "error.json")["result"]["error"] == "FitIllConditioned"
+
     def test_nan_result_exit_1(self, tmp_path):
         # m = 1e400 parses as inf; the flux of that metric is NaN
         path = tmp_path / "config.json"
@@ -344,6 +358,37 @@ class TestConeCommands:
     def test_cone_angle_rejects_bad_alpha(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "cone-angle", "alpha": 2.0})
         assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_growing_perturbation_exit_2(self, tmp_path, capsys):
+        # tau = -1: the perturbation grows like r and opens the surface at 0.6
+        cfg = write_config(tmp_path, {"command": "cone-angle", "alpha": 0.5,
+                                      "perturbation": {"tau": -1}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert "tau must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_profile_exit_1(self, tmp_path):
+        # amplitude -10 makes f < 0 on part of 1 < r < 40: no surface
+        cfg = write_config(tmp_path, {"command": "cone-angle", "alpha": 0.5,
+                                      "perturbation": {"amplitude": -10}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["error.json"]
+        assert load_strict(out / "error.json")["result"]["error"] == "NotPositiveDefinite"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nan_curvature_route_exit_1(self, tmp_path):
+        # amplitude 1e300: the Gauss-Bonnet route is NaN at every radius
+        cfg = write_config(tmp_path, {
+            "command": "cone-angle", "alpha": 0.5,
+            "perturbation": {"amplitude": 1e300, "tau": 1},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["error.json"]
+        assert load_strict(out / "error.json")["result"]["error"] == "EstimatesDisagree"
 
     def test_cone_sequence(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -512,6 +557,14 @@ FUZZ_DOCS = {
         "radii": [4.0, 8.0, 16.0, 32.0],
         "perturbation": {"amplitude": 0.1, "tau": 1.0},
     },
+    "sequence": {
+        "command": "sequence", "q": 4, "kind": "blow_up", "n": 3,
+        "indices": [2, 4], "resolution": 2, "window_L": 0.5,
+    },
+    "cone-sequence": {
+        "command": "cone-sequence", "q": 4, "kind": "escaping", "alpha": 0.7,
+        "indices": [4, 8],
+    },
 }
 
 # the key paths of FUZZ_DOCS that a mutation may replace or delete
@@ -522,7 +575,8 @@ FUZZ_PATHS = {
         ("spec", "params", "m"), ("spec", "params", "c"),
         ("spec", "derivative_mode"), ("spec", "fd_step"),
         ("alpha",), ("perturbation",), ("perturbation", "amplitude"),
-        ("perturbation", "tau"),
+        ("perturbation", "tau"), ("kind",), ("n",), ("indices",),
+        ("indices", 0), ("resolution",), ("window_L",),
     ) if path[0] in doc]
     for name, doc in FUZZ_DOCS.items()
 }
@@ -550,15 +604,35 @@ def _mutated(name, path, value):
     return doc
 
 
-def _json_numbers(obj):
+# the report writer's strings for +-inf
+INFINITIES = ("Infinity", "-Infinity")
+# a constant experiment's documented infinite exponent (see README)
+EXEMPT_INFINITIES = {("experiment.json", ("result", "exponent")),
+                     ("experiment.json", ("result", "expected_exponent"))}
+
+
+def _json_values(obj, path=()):
+    """(key path, value) of every leaf; list items share their list's path."""
     if isinstance(obj, dict):
-        for v in obj.values():
-            yield from _json_numbers(v)
+        for k, v in obj.items():
+            yield from _json_values(v, path + (k,))
     elif isinstance(obj, list):
         for v in obj:
-            yield from _json_numbers(v)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        yield obj
+            yield from _json_values(v, path)
+    else:
+        yield path, obj
+
+
+def _json_numbers(name, doc):
+    """The numbers of a report, with the writer's infinities as floats,
+    except the exempt ones."""
+    for path, v in _json_values(doc):
+        if (name, path) in EXEMPT_INFINITIES:
+            continue
+        if v in INFINITIES:
+            yield float(v)
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield v
 
 
 def _csv_numbers(path):
@@ -578,9 +652,32 @@ def fuzz_configs(draw):
     return _mutated(name, path, draw(FUZZ_VALUES))
 
 
+def _check_outcome(code, out):
+    """Assert that an exit code and the output directory out form one of
+    the documented outcomes of TestConfigFuzz."""
+    assert code in (0, 1, 2)
+    written = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    if code == 2:
+        assert written == []
+    else:
+        assert ("error.json" in written) == (code == 1)
+        assert written
+    for name in written:
+        path = os.path.join(out, name)
+        if name.endswith(".json"):
+            numbers = list(_json_numbers(name, load_strict(path)))
+        else:
+            numbers = list(_csv_numbers(path))
+        # an integer literal of any size is finite; 1e400 is not
+        assert all(isinstance(v, int) or math.isfinite(v)
+                   for v in numbers), (name, numbers)
+
+
 class TestConfigFuzz:
     """Every mutated document gets a documented outcome: exit 0 with finite
-    strict-JSON reports, exit 1 with error.json, or exit 2 and no output."""
+    strict-JSON reports, exit 1 with error.json, or exit 2 and no output.
+    An "Infinity" string counts as a non-finite number, except the exponents
+    of an experiment report."""
 
     @settings(max_examples=50, deadline=None)
     @given(fuzz_configs())
@@ -592,20 +689,4 @@ class TestConfigFuzz:
                 # hand-written document may hold
                 json.dump(doc, fh)
             out = os.path.join(tmp, "out")
-            code = main(["--config", cfg, "--out", out])
-            assert code in (0, 1, 2)
-            written = sorted(os.listdir(out)) if os.path.isdir(out) else []
-            if code == 2:
-                assert written == []
-            else:
-                assert ("error.json" in written) == (code == 1)
-                assert written
-            for name in written:
-                path = os.path.join(out, name)
-                if name.endswith(".json"):
-                    numbers = list(_json_numbers(load_strict(path)))
-                else:
-                    numbers = list(_csv_numbers(path))
-                # an integer literal of any size is finite; 1e400 is not
-                assert all(isinstance(v, int) or math.isfinite(v)
-                           for v in numbers), (name, numbers)
+            _check_outcome(main(["--config", cfg, "--out", out]), out)

@@ -9,7 +9,6 @@ from afmass.cone import (
     CONE_EXPERIMENT_KINDS,
     ConicalSurface,
     EstimatesDisagree,
-    MissingCap,
     capped_cone,
     cone_blow_up_profile,
     cone_mass,
@@ -21,6 +20,7 @@ from afmass.cone import (
     total_gauss_curvature,
 )
 from afmass.metrics import (
+    NotPositiveDefinite,
     metric_at,
     metric_from_json,
     metric_jet,
@@ -68,6 +68,11 @@ class TestProfiles:
         fd2 = (p.f(rr + h) - 2 * p.f(rr) + p.f(rr - h)) / h ** 2
         assert np.allclose(fd2, p.d2f(rr), atol=1e-3)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_perturbation_must_decay(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            perturbed_cone(0.5, tau=tau)
+
     def test_perturbation_preserves_opening(self):
         p = perturbed_cone(0.7, amplitude=0.2, tau=1.0)
         r = np.array([1000.0])
@@ -90,6 +95,11 @@ class TestCurvature:
         )
         assert float(gauss_curvature(s, np.array([0.1]))[0]) > 0.0
 
+    def test_negative_profile_rejected(self):
+        # f = 0.5 r - 10 r^-1 (1 - r^-2)^3 < 0 near r = 2
+        with pytest.raises(NotPositiveDefinite):
+            total_gauss_curvature(perturbed_cone(0.5, amplitude=-10.0), 4.0)
+
     def test_flat_outside_cap(self):
         s = capped_cone(0.7)
         assert np.allclose(gauss_curvature(s, np.array([2.0, 5.0])), 0.0)
@@ -103,7 +113,7 @@ class TestGaussBonnet:
         resid = (
             total_gauss_curvature(s, r)
             + geodesic_curvature_integral(s, r)
-            - 2.0 * math.pi * s.euler
+            - 2.0 * math.pi
         )
         assert abs(resid) < 1e-8
 
@@ -124,16 +134,6 @@ class TestGaussBonnet:
             2.0 * math.pi * 0.7, rel=1e-12
         )
 
-    def test_missing_cap(self):
-        bare = ConicalSurface(
-            f=lambda r: 0.7 * np.asarray(r, dtype=float),
-            df=lambda r: np.full_like(np.asarray(r, dtype=float), 0.7),
-            d2f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            alpha=0.7, has_cap=False,
-        )
-        with pytest.raises(MissingCap):
-            total_gauss_curvature(bare, 4.0)
-
 
 class TestConeMass:
     @given(st.floats(0.2, 1.0))
@@ -148,11 +148,22 @@ class TestConeMass:
         assert est.value == pytest.approx(0.5, abs=1e-10)
 
     def test_inconsistent_surface_detected(self):
-        # wrong Euler number breaks the curvature-route bookkeeping
+        # a turning angle that is not f' breaks the Gauss-Bonnet agreement
         s = capped_cone(0.7)
-        broken = ConicalSurface(f=s.f, df=s.df, d2f=s.d2f, alpha=s.alpha,
-                                euler=2, has_cap=True)
+        broken = ConicalSurface(f=s.f, df=lambda r: s.df(r) + 0.1, d2f=s.d2f,
+                                alpha=s.alpha)
         with pytest.raises(EstimatesDisagree):
+            cone_mass(broken)
+
+    def test_nan_route_detected(self):
+        # a NaN on the curvature route past the first radius, which
+        # max() over the differences would drop
+        s = capped_cone(0.7)
+        broken = ConicalSurface(
+            f=s.f, df=s.df, alpha=s.alpha,
+            d2f=lambda r: np.where(np.asarray(r) > 10.0, np.nan, s.d2f(r)),
+        )
+        with pytest.raises(EstimatesDisagree, match="r = 16"):
             cone_mass(broken)
 
     def test_perturbed_mass_unchanged(self):

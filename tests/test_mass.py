@@ -242,6 +242,14 @@ def test_extrapolate_fits_inverse_power():
     assert est.radii == radii and est.raw == tuple(raw)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_extrapolate_rejects_an_overflowing_fit():
+    # finite samples near 1e198: the squared fit residual overflows
+    radii = (20.0, 40.0, 80.0, 160.0)
+    with pytest.raises(FitIllConditioned, match="overflows"):
+        extrapolate(radii, [3.3e199 / r for r in radii], 1.0)
+
+
 def _no_axis(n):
     """A traceless direction B with n distinct eigenvalues: no axis, so the
     full grid, and a perturbation whose flux averages out over spheres."""

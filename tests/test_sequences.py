@@ -241,6 +241,17 @@ class TestExperiments:
     def test_kinds_registry(self):
         assert set(EXPERIMENT_KINDS) == {"blow_up", "escaping", "shells", "constant"}
 
+    def test_verdict_tolerance(self):
+        # liminf over the last two masses, against the limit less 1e-9
+        def report(masses):
+            return sequences._experiment_report(
+                "x", "x", (1, 2, 4), masses, 1.0, (1.0, 0.5, 0.25), 1.0, {})
+
+        held = report((0.0, 1.0 - 5e-10, 2.0))
+        assert held.verdict and held.drop == pytest.approx(-5e-10)
+        assert held.exponent == pytest.approx(1.0)
+        assert not report((2.0, 1.0 - 2e-9, 2.0)).verdict
+
     def test_report_serialization(self):
         rep = run_semicontinuity_experiment("constant", n=3, indices=(1, 2))
         doc = rep.to_json()
