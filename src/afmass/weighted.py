@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import scalar_curvature
-from .geometry import SphereQuadrature, legendre_rule
+from .geometry import legendre_rule, sample_spheres
 from .mass import _decay_exponent, adm_flux, adm_mass, extrapolate, flux_constant
 from .metrics import mass_vector, metric_jet
 from .spheres import _symmetry
@@ -76,8 +76,9 @@ def weighted_seminorm(spec, params, reference=None):
         reference is None or reference.family.symmetry is True
     )
     worst = 0.0
-    for x, _ in SphereQuadrature(n, max(2, params.angular_q)).sample(
-        params.radii(), symmetric, n ** (2 + params.k)
+    for x, _ in sample_spheres(
+        n, max(2, params.angular_q), params.radii(), symmetric,
+        n ** (2 + params.k),
     ):
         r = np.linalg.norm(x, axis=1)
         jet = metric_jet(spec, x, params.k)
@@ -111,12 +112,11 @@ def radial_panels(inner, outer, breakpoints=()):
 def _volume_quadrature(spec, fn, inner, outer, q, radial_q=64):
     """int_{inner<|x|<outer} fn dx with Gauss-Legendre radial panels."""
     n = spec.n
-    quad = SphereQuadrature(n, q)
     xg, wg = legendre_rule(radial_q)
     total = 0.0
     for lo, hi in radial_panels(inner, outer, spec.family.radial_breakpoints):
-        for x, w in quad.sample(
-            0.5 * (hi - lo) * (xg + 1.0) + lo, _symmetry(spec),
+        for x, w in sample_spheres(
+            n, q, 0.5 * (hi - lo) * (xg + 1.0) + lo, _symmetry(spec),
             n ** 4, radial_weights=0.5 * (hi - lo) * wg,
         ):
             total += float(np.dot(w, fn(spec, x)))

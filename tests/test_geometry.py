@@ -10,12 +10,16 @@ from afmass.geometry import (
     BLOCK_ENTRIES,
     SphereQuadrature,
     _gauss_jacobi,
+    _one_node,
     flat_angular_density,
     legendre_rule,
+    sample_spheres,
     sphere_chart,
     unit_sphere_area,
 )
-from afmass.metrics import schwarzschild
+from afmass.mass import adm_flux, adm_mass
+from afmass.metrics import asymptotically_schwarzschild, schwarzschild
+from afmass.shells import shell_metric
 from afmass.weighted import mass_via_divergence
 
 # closed-form unit-sphere areas
@@ -80,7 +84,8 @@ def test_blocks_cover_full_grid():
     quad = SphereQuadrature(3, 8)
     phi_full, w_full = quad.full_grid()
     radii = np.array([2.0, 5.0])
-    pieces = list(quad.sample(radii, False, 2 ** 22 // 7, radial_weights=[0.5, 3.0]))
+    pieces = list(sample_spheres(3, 8, radii, False, 2 ** 22 // 7,
+                                 radial_weights=[0.5, 3.0]))
     assert len(pieces) > 1
     x = np.concatenate([x for x, _ in pieces])
     w = np.concatenate([w for _, w in pieces])
@@ -95,7 +100,7 @@ def test_blocks_split_large_grids():
     quad = SphereQuadrature(6, 24)
     sizes = []
     total = 0.0
-    for x, w in quad.sample([1.0], False, BLOCK_ENTRIES // 2 ** 12):
+    for x, w in sample_spheres(6, 24, [1.0], False, BLOCK_ENTRIES // 2 ** 12):
         sizes.append(x.shape[0])
         total += float(w.sum())
     assert max(sizes) <= 2 ** 12
@@ -110,7 +115,7 @@ def test_sample_bounds_block_memory_at_n7(symmetric):
     cap = BLOCK_ENTRIES // n ** 4
     sizes = []
     total = 0.0
-    for x, w in quad.sample([r], symmetric, n ** 4):
+    for x, w in sample_spheres(n, q, [r], symmetric, n ** 4):
         sizes.append(x.shape[0])
         assert np.allclose(np.linalg.norm(x, axis=1), r, rtol=1e-14)
         total += float(w.sum())
@@ -125,7 +130,8 @@ def test_sample_bounds_block_memory_at_n7(symmetric):
 def test_symmetric_sample_is_one_node_per_radius():
     quad = SphereQuadrature(4, 16)
     radii = np.geomspace(1.0, 100.0, 5)
-    (x, w), = quad.sample(radii, True, 4 ** 4, radial_weights=np.arange(1.0, 6.0))
+    (x, w), = sample_spheres(4, 16, radii, True, 4 ** 4,
+                             radial_weights=np.arange(1.0, 6.0))
     assert np.allclose(np.linalg.norm(x, axis=1), radii, rtol=1e-14)
     assert np.allclose(x / radii[:, None], sphere_chart(quad.generic_node()))
     assert np.allclose(
@@ -145,9 +151,8 @@ def _sphere_moment(n, k):
 def test_meridian_rule_is_exact_to_degree_2q_minus_1(n):
     v = np.linspace(-1.0, 2.0, n)
     for q in range(2, 17):
-        quad = SphereQuadrature(n, q)
         for axis in (np.eye(n)[0], v / np.linalg.norm(v)):
-            (x, w), = quad.sample([1.0], axis, n ** 4)
+            (x, w), = sample_spheres(n, q, [1.0], axis, n ** 4)
             assert x.shape == (q, n)
             assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-15)
             t = x @ axis
@@ -163,12 +168,11 @@ def test_meridian_rule_is_exact_to_degree_2q_minus_1(n):
 def test_meridian_sample_covers_every_radius():
     # q nodes per radius, r^{n-1} and the radial weight folded in, in blocks
     n, q = 5, 6
-    quad = SphereQuadrature(n, q)
     axis = np.eye(n)[2]
-    (u, w_unit), = quad.sample([1.0], axis, 1)
+    (u, w_unit), = sample_spheres(n, q, [1.0], axis, 1)
     radii = np.array([2.0, 3.0, 7.0])
-    pieces = list(quad.sample(radii, axis, BLOCK_ENTRIES // 4,
-                              radial_weights=[0.5, 1.0, 2.0]))
+    pieces = list(sample_spheres(n, q, radii, axis, BLOCK_ENTRIES // 4,
+                                 radial_weights=[0.5, 1.0, 2.0]))
     assert [x.shape[0] for x, _ in pieces] == [4, 4, 4, 4, 2]
     x = np.concatenate([x for x, _ in pieces])
     w = np.concatenate([w for _, w in pieces])
@@ -190,6 +194,23 @@ def test_quadrature_rejects_bad_arguments():
         SphereQuadrature(1, 8)
     with pytest.raises(ValueError):
         SphereQuadrature(3, 1)
+    for n, q in ((1, 8), (3, 1)):
+        for symmetry in (True, False):
+            with pytest.raises(ValueError):
+                list(sample_spheres(n, q, [1.0], symmetry, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_node_is_the_generic_node(n):
+    # the cached node and weight are the grid's generic node, bit for bit
+    for q in range(2, 33):
+        u, w = _one_node(n, q)
+        want = sphere_chart(SphereQuadrature(n, q).generic_node())[None, :]
+        assert u.dtype == want.dtype and u.tobytes() == want.tobytes(), q
+        assert w.tolist() == [unit_sphere_area(n)]
+        for a in (u, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +222,7 @@ def cold_rules():
     """Empty rule caches, so each test sees its own first build."""
     legendre_rule.cache_clear()
     _gauss_jacobi.cache_clear()
+    _one_node.cache_clear()
 
 
 @pytest.fixture
@@ -237,9 +259,46 @@ def test_cone_mass_builds_its_rule_once(cold_rules, leggauss_orders):
 
 
 def test_mass_via_divergence_builds_its_radial_rule_once(cold_rules, leggauss_orders):
-    # one radial rule for the three annuli; SphereQuadrature builds q = 4
+    # one radial rule for the three annuli, and one q = 4 rule for the node
     mass_via_divergence(schwarzschild(3, 1.0), q=4)
     assert leggauss_orders.count(64) == 1
+    assert leggauss_orders.count(4) == 1
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: adm_mass(schwarzschild(3, 1.0), q=16),
+    lambda: mass_via_divergence(shell_metric(3, 4)),
+], ids=["adm_mass", "mass_via_divergence"])
+def test_one_node_samples_build_no_rule(leggauss_orders, compute):
+    compute()
+    leggauss_orders.clear()
+    compute()
+    assert leggauss_orders == []
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """The (n, q) of every SphereQuadrature built during the test."""
+    built = []
+    init = SphereQuadrature.__init__
+
+    def spy(self, n, q):
+        built.append((n, q))
+        init(self, n, q)
+
+    monkeypatch.setattr(SphereQuadrature, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("direction", [None, np.diag([-1.0, 0.0, 1.0])],
+                         ids=["axial", "no-axis"])
+def test_meridian_and_grid_build_a_quadrature_per_call(quadratures, direction):
+    # the benchmark's fg-profile job (an axial family) pins a numpy.leggauss
+    # span, so the meridian and the grid keep their per-call polar rule
+    spec = asymptotically_schwarzschild(3, 1.0, c=0.3, direction=direction)
+    for r in (20.0, 40.0):
+        adm_flux(spec, r, q=8)
+    assert quadratures == [(3, 8), (3, 8)]
 
 
 def test_gauss_jacobi_rule_is_shared(cold_rules):

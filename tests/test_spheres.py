@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from afmass import curvature, spheres
-from afmass.geometry import SphereQuadrature, sphere_chart, unit_sphere_area
+from afmass import curvature, mass, spheres, weighted
+from afmass.geometry import (
+    SphereQuadrature,
+    sample_spheres,
+    sphere_chart,
+    unit_sphere_area,
+)
 from afmass.mass import adm_flux
 from afmass.metrics import (
     asymptotically_schwarzschild,
@@ -223,16 +228,16 @@ class TestAxialRoute:
                                                     direction=_no_axis(n)),
         }[name]
         counts = []
-        original = SphereQuadrature.sample
 
-        def counting(self, radii, *args, **kwargs):
+        def counting(n, q, radii, *args, **kwargs):
             nodes = 0
-            for x, w in original(self, radii, *args, **kwargs):
+            for x, w in sample_spheres(n, q, radii, *args, **kwargs):
                 nodes += x.shape[0]
                 yield x, w
             counts.append(nodes / np.size(radii))
 
-        monkeypatch.setattr(SphereQuadrature, "sample", counting)
+        for module in (mass, spheres, weighted):
+            monkeypatch.setattr(module, "sample_spheres", counting)
         adm_flux(spec, 50.0, q=q)
         sphere_area(spec, 50.0, q=q)
         sphere_report(spec, 50.0, q=q)

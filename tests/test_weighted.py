@@ -3,7 +3,7 @@ import pytest
 
 from afmass import weighted
 from afmass.curvature import scalar_curvature
-from afmass.geometry import SphereQuadrature
+from afmass.geometry import sample_spheres
 from afmass.mass import adm_mass
 from afmass.metrics import (
     asymptotically_schwarzschild,
@@ -151,8 +151,8 @@ def _seminorm_oracle(spec, params, reference):
     """The k = 2 seminorm with each derivative order from its own call."""
     n = spec.n
     worst = 0.0
-    for x, _ in SphereQuadrature(n, params.angular_q).sample(
-        params.radii(), False, n ** 4
+    for x, _ in sample_spheres(
+        n, params.angular_q, params.radii(), False, n ** 4
     ):
         r = np.linalg.norm(x, axis=1)
         terms = [
@@ -175,8 +175,8 @@ class TestOneEvaluationPerBlock:
         params = WeightedNormParams(tau=2.0, k=2, r_max=10.0,
                                     radii_per_decade=4, angular_q=4)
         expected = _seminorm_oracle(spec, params, reference)
-        blocks = len(list(SphereQuadrature(3, params.angular_q).sample(
-            params.radii(), False, 3 ** 4
+        blocks = len(list(sample_spheres(
+            3, params.angular_q, params.radii(), False, 3 ** 4
         )))
         counts = [_count_evaluations(monkeypatch, s) for s in (spec, reference)]
         assert weighted_seminorm(spec, params, reference) == pytest.approx(
