@@ -24,7 +24,6 @@ from .cone import (
     cone_mass,
     cone_metric_spec,
     cone_semicontinuity_experiment,
-    gauss_curvature,
     geodesic_curvature_integral,
     perturbed_cone,
     total_gauss_curvature,
@@ -54,7 +53,6 @@ from .metrics import (
     harmonic_dipole_field,
     harmonically_flat,
     mass_vector,
-    metric_at,
     metric_derivatives_at,
     metric_from_json,
     metric_jet,
@@ -80,8 +78,6 @@ from .shells import (
 )
 from .spheres import (
     SphereReport,
-    intrinsic_scalar_curvature_at,
-    mean_curvature_at,
     sphere_area,
     sphere_report,
 )

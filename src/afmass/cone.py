@@ -16,8 +16,8 @@ Two independent routes compute it:
   a disc of Euler characteristic 1, so int_{B_r} K dA = 2 pi - int kappa_g ds
   and the total curvature over 2 pi has the same limit.
 
-K = -f''/f is the closed form; the tests cross-check it with the generic
-Christoffel computation.
+total_gauss_curvature integrates the closed form K = -f''/f; the tests
+cross-check it with the generic Christoffel computation.
 """
 
 import math
@@ -35,7 +35,6 @@ __all__ = [
     "ConicalSurface",
     "capped_cone",
     "perturbed_cone",
-    "gauss_curvature",
     "geodesic_curvature_integral",
     "total_gauss_curvature",
     "cone_mass",
@@ -148,12 +147,6 @@ def perturbed_cone(alpha, amplitude=0.1, tau=1.0):
                           meta=(("perturbation", amplitude), ("tau", tau)))
 
 
-def gauss_curvature(surface, r):
-    """Gauss curvature K(r) = -f''(r) / f(r)."""
-    r = np.asarray(r, dtype=float)
-    return -surface.d2f(r) / surface.f(r)
-
-
 def geodesic_curvature_integral(surface, r):
     """Total turning int_{r=const} kappa_g ds = 2 pi f'(r), in closed form.
 
@@ -164,7 +157,7 @@ def geodesic_curvature_integral(surface, r):
 
 
 def total_gauss_curvature(surface, r):
-    """int_{B_r} K dA = 2 pi (f'(0) - f'(r)) for a capped profile.
+    """int_{B_r} K dA = 2 pi (f'(0) - f'(r)) for a capped profile, K = -f''/f.
 
     Evaluated by panel-wise 128-node Gauss quadrature of K f dr (the closed
     form 2 pi (1 - f'(r)) is the oracle in the tests, not used here).  The

@@ -3,15 +3,13 @@
 All routines are batched: metric arrays have shape (N, d, d), first
 derivatives (N, d, d, d) with dg[:, k, i, j] = d_k g_ij, and second
 derivatives (N, d, d, d, d) with d2g[:, k, l, i, j] = d_k d_l g_ij.
-scalar_curvature is the one entry point for R; metrics.metric_jet supplies
+scalar_curvature is the one public entry point; metrics.metric_jet supplies
 its arguments.
 """
 
 import numpy as np
 
 __all__ = [
-    "christoffel",
-    "ricci_tensor",
     "scalar_curvature",
     "fd_metric_derivatives",
 ]
@@ -22,29 +20,17 @@ def _lowered_christoffel(dg):
     return 0.5 * (np.einsum("nilj->nlij", dg) + np.einsum("njil->nlij", dg) - dg)
 
 
-def _raise_first(ginv, t):
-    """g^{kl} t_l... : raise the first index of the batched tensor t."""
-    N, d = ginv.shape[:2]
-    return (ginv @ t.reshape(N, d, -1)).reshape(t.shape)
-
-
 def _christoffels(ginv, dg):
-    """(Gamma_lij, Gamma^k_ij): the lowered symbols and their raised form."""
+    """(Gamma_lij, Gamma^k_ij): the lowered symbols and their raised form
+    Gamma^k_ij = g^{kl} Gamma_lij, both indexed [.., k or l, i, j]."""
     low = _lowered_christoffel(dg)
-    return low, _raise_first(ginv, low)
+    N, d = ginv.shape[:2]
+    return low, (ginv @ low.reshape(N, d, -1)).reshape(low.shape)
 
 
-def christoffel(ginv, dg):
-    """Christoffel symbols Gamma^k_ij = g^{kl} Gamma_lij.
-
-    Returns (N, d, d, d) indexed [.., k, i, j].
-    """
-    return _christoffels(ginv, dg)[1]
-
-
-def ricci_tensor(g, dg, d2g):
-    """Ricci tensor R_jk = d_i Gamma^i_jk - d_j Gamma^i_ik
-    + Gamma^i_ip Gamma^p_jk - Gamma^i_kp Gamma^p_ij.
+def _ricci_from_inverse(ginv, dg, d2g, low, gamma):
+    """Ricci tensor R_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_ip Gamma^p_jk
+    - Gamma^i_kp Gamma^p_ij from g^{-1} and (low, gamma) = _christoffels(ginv, dg).
 
     With M_j = g^{-1} d_j g, Gamma^i_ik = d_k log sqrt(det g) = tr M_k / 2
     and d_i g^{il} = -(g^{-1} w)^l, w_a = sum_i (M_i)^i_a, this is
@@ -56,13 +42,6 @@ def ricci_tensor(g, dg, d2g):
     with u = g^{-1}(tr M / 2 - w).  g^{-1} is contracted into d2g directly,
     so no other array of d2g's size is built.
     """
-    ginv = np.linalg.inv(g)
-    return _ricci_from_inverse(ginv, dg, d2g, *_christoffels(ginv, dg))
-
-
-def _ricci_from_inverse(ginv, dg, d2g, low, gamma):
-    """ricci_tensor given g^{-1} and _christoffels(ginv, dg), for callers
-    that already hold them."""
     N, d = ginv.shape[:2]
     m = ginv[:, None] @ dg
     vec = ginv.reshape(N, 1, d * d)

@@ -40,7 +40,6 @@ __all__ = [
     "scaled",
     "translated",
     "metric_jet",
-    "metric_at",
     "metric_derivatives_at",
     "mass_vector",
     "metric_to_json",
@@ -364,11 +363,12 @@ class ConformalFamily(Family):
             factor = RadialField(factor)
         self.field = factor
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _factor_jet(self, x, order):
         """[F, dF, d2F][:order + 1] of F = U^e, e = 4/(n-2): dF = e U^{e-1}
         grad U and d2F = e U^{e-1} Hess U + e (e-1) U^{e-2} grad U grad U,
         from one jet of the factor.  Raises NonPositiveConformalFactor where
-        U <= 0 and NotPositiveDefinite where U^e underflows to 0."""
+        U <= 0 and NotPositiveDefinite where U^e under- or overflows."""
         jet = self.field.jet(x, order)
         u = jet[0]
         if np.any(u <= 0.0):
@@ -378,10 +378,6 @@ class ConformalFamily(Family):
             )
         e = 4.0 / (self.n - 2)
         F = [u ** e]
-        if F[0].min() == 0.0:
-            raise NotPositiveDefinite(
-                f"{self.name}: U^{e:g} underflows to 0 at {x[F[0] == 0.0][:3]}"
-            )
         if order >= 1:
             f1 = e * u ** (e - 1.0)
             F.append(f1[:, None] * jet[1])
@@ -390,6 +386,15 @@ class ConformalFamily(Family):
                 f1[:, None, None] * jet[2]
                 + (e * (e - 1.0) * u ** (e - 2.0))[:, None, None]
                 * np.einsum("nk,nl->nkl", jet[1], jet[1])
+            )
+        # a sum of the entries is finite only if each entry is
+        if not (F[0].min() > 0.0 and np.isfinite(sum(f.sum() for f in F))):
+            bad = ~(F[0] > 0.0)
+            for f in F:
+                bad |= ~np.isfinite(f.reshape(len(f), -1)).all(axis=1)
+            raise NotPositiveDefinite(
+                f"{self.name}: U^{e:g} under- or overflows at"
+                f" {x[np.argmax(bad)].tolist()}"
             )
         return F
 
@@ -721,11 +726,6 @@ def metric_jet(spec, x, order=2):
         if order == 2 and spec.fd_step is None:
             jet[2] = fd_metric_derivatives(family.metric, pts, h2)[2]
     return [d[0] for d in jet] if single else jet
-
-
-def metric_at(spec, x):
-    """Metric matrix g_ij(x), checked as by metric_jet; batched if x is (N, n)."""
-    return metric_jet(spec, x, 0)[0]
 
 
 def metric_derivatives_at(spec, x, order=2):

@@ -22,7 +22,6 @@ from .geometry import BLOCK_ENTRIES
 from .mass import adm_mass
 from .metrics import (
     GeometryError,
-    metric_at,
     metric_jet,
     scaled,
     schwarzschild,
@@ -92,7 +91,7 @@ def blow_up_window(spec, p, i, half_width=1.0, q=4):
     p = np.asarray(p, dtype=float)
     # g(p)^{-1/2} from the eigendecomposition of g(p), positive definite by
     # the family's contract
-    lam, V = np.linalg.eigh(metric_at(spec, p))
+    lam, V = np.linalg.eigh(metric_jet(spec, p, 0)[0])
     A = (V / np.sqrt(lam)) @ V.T
     A = 0.5 * (A + A.T)
     grid = window_grid(n, half_width, q)

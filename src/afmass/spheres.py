@@ -11,14 +11,14 @@ lambda = |N|_g and nu = g^{-1} N / lambda the outward unit normal:
 * intrinsic scalar curvature: the Gauss equation
   rho = R - 2 Ric(nu, nu) + H^2 - |A|^2.
 
-The pointwise functions always take the generic route.  The sphere-wide
-sphere_area and sphere_report use the closed conformal formulas whenever
-the family has a radial profile U (g = U^{4/(n-2)} delta, U constant on
-each sphere); the formulas are also the test suite's oracle for the
-generic route.  Otherwise they evaluate the generic route at the nodes the
+_geometry_at, the one pointwise route, evaluates these generically (H > 0 on
+flat round spheres).  sphere_area and sphere_report use the closed conformal
+formulas whenever the family has a radial profile U (g = U^{4/(n-2)} delta, U
+constant on each sphere); the formulas are also the test suite's oracle for
+the generic route.  Otherwise they evaluate the generic route at the nodes the
 family's symmetry needs (_symmetry): one node for a rotationally symmetric
-family, one meridian of q nodes about the family's axis in analytic mode,
-else the full angular grid.
+family, one meridian of q nodes about the family's axis in analytic mode, else
+the full angular grid.
 """
 
 import math
@@ -27,15 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import _christoffels, _ricci_from_inverse
-from .geometry import sample_spheres, sphere_chart, unit_sphere_area
+from .geometry import sample_spheres, unit_sphere_area
 from .metrics import GeometryError, metric_jet
 
 __all__ = [
     "DegenerateNormal",
     "SphereReport",
     "sphere_area",
-    "mean_curvature_at",
-    "intrinsic_scalar_curvature_at",
     "sphere_report",
     "conformal_mean_curvature",
     "conformal_sphere_scalar_curvature",
@@ -66,15 +64,6 @@ class SphereReport:
         ]
 
     csv_columns = ("r", "area", "H_min", "H_max", "maxH2", "rho_min", "rho_max", "q")
-
-
-def _as_angles(phi, n):
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim == 1:
-        if phi.shape[0] != n - 1:
-            raise ValueError(f"angles must have dimension {n - 1}")
-        return phi[None, :], True
-    return phi, False
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +183,6 @@ def sphere_area(spec, r, q=32):
         float(np.dot(w, _geometry_at(spec, r, x, 0)[0]))
         for x, w in sample_spheres(n, q, [r], _symmetry(spec), n * n)
     )
-
-
-def mean_curvature_at(spec, r, phi):
-    """Mean curvature of S_r, positive for round spheres in flat space:
-    the trace of the second fundamental form of the level set {|x| = r}."""
-    phi, single = _as_angles(phi, spec.n)
-    H = _geometry_at(spec, r, r * sphere_chart(phi), 1)[1]
-    return float(H[0]) if single else H
-
-
-def intrinsic_scalar_curvature_at(spec, r, phi):
-    """Scalar curvature of (S_r, gamma) at the given angles, by the Gauss
-    equation at each point."""
-    phi, single = _as_angles(phi, spec.n)
-    rho = _geometry_at(spec, r, r * sphere_chart(phi), 2)[2]
-    return float(rho[0]) if single else rho
 
 
 def sphere_report(spec, r, q=32):

@@ -1,9 +1,9 @@
 """Reference Gauss curvature of a conical surface for the tests, from the
 general coordinate scalar curvature.
 
-afmass.cone.gauss_curvature uses the closed form K = -f''/f; this version
-builds the metric dr^2 + f^2 dtheta^2 of the (r, theta) chart with its
-analytic derivatives and takes K = R / 2, as an independent check.
+afmass.cone.total_gauss_curvature integrates the closed form K = -f''/f;
+this version builds the metric dr^2 + f^2 dtheta^2 of the (r, theta) chart
+with its analytic derivatives and takes K = R / 2, as an independent check.
 """
 
 import numpy as np

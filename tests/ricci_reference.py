@@ -1,9 +1,9 @@
 """Reference Ricci tensor for the tests, built from the full derivative of
 the Christoffel symbols.
 
-afmass.curvature.ricci_tensor contracts g^{-1} into d2g directly and never
-forms d_m Gamma^k_ij; this version does, term by term, as an independent
-check of that contraction.
+afmass.curvature._ricci_from_inverse contracts g^{-1} into d2g directly
+and never forms d_m Gamma^k_ij; this version does, term by term, as an
+independent check of that contraction.
 """
 
 import numpy as np

@@ -30,18 +30,17 @@ from afmass.metrics import (
     conformally_flat,
     euclidean,
     harmonic_dipole_field,
-    metric_at,
     metric_derivatives_at,
+    metric_jet,
     scaled,
     schwarzschild,
 )
 from afmass.sequences import run_semicontinuity_experiment
 from afmass.shells import shell_mass, shell_metric
 from afmass.spheres import (
+    _geometry_at,
     conformal_mean_curvature,
     conformal_sphere_scalar_curvature,
-    intrinsic_scalar_curvature_at,
-    mean_curvature_at,
 )
 from afmass.weighted import (
     WeightedNormParams,
@@ -91,12 +90,7 @@ def _area_averaged_sphere_curvatures(spec, r, q):
     quad = SphereQuadrature(n, q)
     phi, w = quad.full_grid()
     weights = w * flat_angular_density(phi)
-    H = np.array(
-        [mean_curvature_at(spec, r, p) for p in phi]
-    )
-    rho = np.array(
-        [intrinsic_scalar_curvature_at(spec, r, p) for p in phi]
-    )
+    _, H, rho = _geometry_at(spec, r, r * sphere_chart(phi), 2)
     total = weights.sum()
     return float(np.dot(weights, H) / total), float(np.dot(weights, rho) / total)
 
@@ -145,7 +139,8 @@ def test_criterion_4_shell_masses_curvature_and_weighted_distance():
             # nonnegative scalar curvature at sampled points
             for r in (0.3 * i, 0.6 * i, 0.75 * i, 0.9 * i, 1.5 * i):
                 x = r * sphere_chart(phi)
-                R = scalar_curvature(metric_at(spec, x), *metric_derivatives_at(spec, x))
+                R = scalar_curvature(metric_jet(spec, x, 0)[0],
+                                     *metric_derivatives_at(spec, x))
                 assert float(np.min(R)) > -1e-12, (n, i, r)
             params = WeightedNormParams(
                 tau=tau, k=2, r_min=0.05, r_max=64.0,
@@ -234,9 +229,10 @@ def test_criterion_8a_conformal_oracle_equivalence():
         du = float(spec.family.radial_profile.du(np.array([r]))[0])
         H_exact = conformal_mean_curvature(n, r, u, du)
         rho_exact = conformal_sphere_scalar_curvature(n, r, u)
-        H_gen = mean_curvature_at(spec, r, phi)
+        x = r * sphere_chart(phi[None])
+        H_gen = _geometry_at(spec, r, x, 1)[1][0]
         assert abs(H_gen / H_exact - 1.0) < 1e-8, (n, r)
-        rho_gen = intrinsic_scalar_curvature_at(spec, r, phi)
+        rho_gen = _geometry_at(spec, r, x, 2)[2][0]
         assert abs(rho_gen / rho_exact - 1.0) < 1e-8, (n, r)
 
 

@@ -335,7 +335,7 @@ class TestComputationFailure:
         assert load_strict(out / "error.json")["result"]["error"] == "FitIllConditioned"
 
     def test_nan_result_exit_1(self, tmp_path):
-        # m = 1e400 parses as inf; the flux of that metric is NaN
+        # m = 1e400 parses as inf, so U = inf and U^4 is no metric
         path = tmp_path / "config.json"
         path.write_text(
             '{"command": "adm-mass", "radii": [50, 100], "q": 8, "spec": '
@@ -344,7 +344,7 @@ class TestComputationFailure:
         out = tmp_path / "out"
         assert main(["--config", str(path), "--out", str(out)]) == 1
         assert sorted(os.listdir(out)) == ["error.json"]
-        assert load_strict(out / "error.json")["result"]["error"] == "ValueError"
+        assert load_strict(out / "error.json")["result"]["error"] == "NotPositiveDefinite"
 
 
 # documents whose arithmetic overflows, and the error each one reports
@@ -358,11 +358,25 @@ OVERFLOWING_DOCS = {
         "command": "cone-angle", "alpha": 0.5,
         "perturbation": {"amplitude": 1e300, "tau": 1},
     }, "EstimatesDisagree"),
+    # U = 1 + m / (2r) is finite, but U^4 overflows
+    "adm-mass-factor": ({
+        "command": "adm-mass", "q": 4, "radii": [50, 100, 200, 400],
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1e308}},
+    }, "NotPositiveDefinite"),
+    "weighted-mass": ({
+        "command": "weighted-mass", "q": 4, "radii": [50, 100, 200, 400],
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1e300}},
+    }, "NotPositiveDefinite"),
+    # near the origin U itself and its derivatives overflow
+    "weighted-mass-profile": ({
+        "command": "weighted-mass", "q": 4,
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1e308}},
+    }, "NotPositiveDefinite"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(OVERFLOWING_DOCS))
-def test_same_error_whatever_the_warnings_filter(tmp_path, command):
+def test_same_error_whatever_the_warnings_filter(tmp_path, capsys, command):
     doc, error = OVERFLOWING_DOCS[command]
     cfg = write_config(tmp_path, doc)
     for action in ("default", "error"):
@@ -372,6 +386,10 @@ def test_same_error_whatever_the_warnings_filter(tmp_path, command):
             assert main(["--config", cfg, "--out", str(out)]) == 1
         assert [str(w.message) for w in caught] == []
         assert load_strict(out / "error.json")["result"]["error"] == error, action
+        # one line on stderr: the failure, no numpy warning
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            f"computation failed: {error}: "), (action, err)
 
 
 class TestConeCommands:
@@ -590,6 +608,14 @@ FUZZ_DOCS = {
         "command": "cone-sequence", "q": 4, "kind": "escaping", "alpha": 0.7,
         "indices": [4, 8],
     },
+    "weighted-mass": {
+        "command": "weighted-mass", "q": 4,
+        "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                 "params": {"m": 1.0, "c": 0.2}, "derivative_mode": "analytic"},
+    },
+    "weighted-mass-shells": {
+        "command": "weighted-mass", "q": 4, "n": 3, "indices": [1, 2],
+    },
 }
 
 # the key paths of FUZZ_DOCS that a mutation may replace or delete
@@ -698,20 +724,33 @@ def _check_outcome(code, out):
                    for v in numbers), (name, numbers)
 
 
+def _error_class(out):
+    path = os.path.join(out, "error.json")
+    return load_strict(path)["result"]["error"] if os.path.exists(path) else None
+
+
 class TestConfigFuzz:
     """Every mutated document gets a documented outcome: exit 0 with finite
     strict-JSON reports, exit 1 with error.json, or exit 2 and no output.
     An "Infinity" string counts as a non-finite number, except the exponents
-    of an experiment report."""
+    of an experiment report.  The outcome is the same under the default
+    warnings filters and with RuntimeWarnings turned into errors."""
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(fuzz_configs())
     def test_documented_outcome(self, doc):
+        outcomes = []
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "config.json")
             with open(cfg, "w") as fh:
                 # NaN and Infinity go out as the non-strict literals a
                 # hand-written document may hold
                 json.dump(doc, fh)
-            out = os.path.join(tmp, "out")
-            _check_outcome(main(["--config", cfg, "--out", out]), out)
+            for action in ("default", "error"):
+                out = os.path.join(tmp, action)
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action, RuntimeWarning)
+                    code = main(["--config", cfg, "--out", out])
+                _check_outcome(code, out)
+                outcomes.append((code, _error_class(out)))
+        assert outcomes[0] == outcomes[1], (doc, outcomes)

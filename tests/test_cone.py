@@ -14,14 +14,12 @@ from afmass.cone import (
     cone_mass,
     cone_metric_spec,
     cone_semicontinuity_experiment,
-    gauss_curvature,
     geodesic_curvature_integral,
     perturbed_cone,
     total_gauss_curvature,
 )
 from afmass.metrics import (
     NotPositiveDefinite,
-    metric_at,
     metric_from_json,
     metric_jet,
     metric_to_json,
@@ -81,10 +79,22 @@ class TestProfiles:
 
 class TestCurvature:
     def test_closed_vs_generic(self):
+        # total_gauss_curvature integrates the closed K = -f''/f; integrate
+        # the generic K f on the same panels (0, min(r, 1)) and (1, r)
         s = capped_cone(0.7)
         rr = np.array([0.3, 0.7, 0.95, 2.0])
-        closed = gauss_curvature(s, rr)
-        generic = reference_gauss_curvature(s, rr)
+        xg, wg = np.polynomial.legendre.leggauss(64)
+
+        def generic_total(r):
+            total = 0.0
+            for lo, hi in ((0.0, min(r, 1.0)), (1.0, max(r, 1.0))):
+                t = 0.5 * (hi - lo) * (xg + 1.0) + lo
+                K = reference_gauss_curvature(s, t)
+                total += 0.5 * (hi - lo) * float(np.dot(wg, K * s.f(t)))
+            return 2.0 * math.pi * total
+
+        closed = [total_gauss_curvature(s, r) for r in rr]
+        generic = [generic_total(r) for r in rr]
         assert np.allclose(closed, generic, atol=1e-6)
 
     def test_cap_concentrates_positive_curvature(self):
@@ -93,7 +103,7 @@ class TestCurvature:
         assert total_gauss_curvature(s, 1.0) == pytest.approx(
             2.0 * math.pi * 0.3, rel=1e-12
         )
-        assert float(gauss_curvature(s, np.array([0.1]))[0]) > 0.0
+        assert float(reference_gauss_curvature(s, np.array([0.1]))[0]) > 0.0
 
     def test_negative_profile_rejected(self):
         # f = 0.5 r - 10 r^-1 (1 - r^-2)^3 < 0 near r = 2
@@ -102,7 +112,7 @@ class TestCurvature:
 
     def test_flat_outside_cap(self):
         s = capped_cone(0.7)
-        assert np.allclose(gauss_curvature(s, np.array([2.0, 5.0])), 0.0)
+        assert np.allclose(reference_gauss_curvature(s, np.array([2.0, 5.0])), 0.0)
 
 
 class TestGaussBonnet:
@@ -192,7 +202,7 @@ class TestCartesianWrapper:
         R = np.array([[math.cos(th), -math.sin(th)],
                       [math.sin(th), math.cos(th)]])
         expected = R @ np.diag([1.0, alpha ** 2]) @ R.T
-        assert np.allclose(metric_at(spec, x)[0], expected, atol=1e-14)
+        assert np.allclose(metric_jet(spec, x, 0)[0][0], expected, atol=1e-14)
 
     @pytest.mark.parametrize("surface", CONES, ids=CONE_IDS)
     def test_jet_matches_fd4_reference(self, surface):

@@ -257,36 +257,11 @@ def _no_axis(n):
 
 
 def test_grid_flux_memory_is_bounded_at_n7():
-    # the full n = 7, q = 7 grid has 117,649 nodes, whose dg alone is 323 MB;
-    # blocks of BLOCK_ENTRIES entries of dg keep the peak far below that
-    spec = asymptotically_schwarzschild(7, 1.0, c=0.3, direction=_no_axis(7))
-    tracemalloc.start()
-    try:
-        flux = adm_flux(spec, 100.0, q=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 2 ** 20, peak
-    assert flux == pytest.approx(1.0, abs=2e-3)
-
-
-def test_grid_flux_builds_no_dense_dg_at_n7():
-    # the closed mass vector holds n numbers a node, not dg's n^3: one
-    # block's dg alone would take 32 MiB
-    spec = asymptotically_schwarzschild(7, 1.0, direction=_no_axis(7))
-    tracemalloc.start()
-    try:
-        adm_flux(spec, 100.0, q=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20, peak
-
-
-def test_grid_flux_memory_is_bounded_without_an_axis_at_n7():
     # the default AS direction has an axis and takes one meridian; this one
     # has none, so its flux runs on the full n = 7, q = 7 grid (117,649
-    # nodes), whose dense dg would take 32 MiB a block
+    # nodes), whose dg alone would take 323 MB.  Blocks of BLOCK_ENTRIES
+    # entries and the closed mass vector, n numbers a node and not dg's n^3
+    # (32 MiB a block), keep the peak far below that
     spec = asymptotically_schwarzschild(7, 1.0, c=0.3, direction=_no_axis(7))
     assert spec.family.symmetry is False
     tracemalloc.start()

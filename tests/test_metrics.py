@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from afmass.metrics import (
     NonPositiveConformalFactor,
     NotPositiveDefinite,
     RadialProfile,
+    ScalarField,
     SingularPoint,
     StepTooLarge,
     asymptotically_schwarzschild,
@@ -19,7 +21,6 @@ from afmass.metrics import (
     harmonic_dipole_field,
     harmonically_flat,
     mass_vector,
-    metric_at,
     metric_derivatives_at,
     metric_from_json,
     metric_jet,
@@ -36,7 +37,7 @@ from jet_reference import jet_reference, mass_vector_reference
 class TestSchwarzschildValues:
     def test_metric_value_on_axis(self):
         spec = schwarzschild(3, 1.0)
-        g = metric_at(spec, np.array([10.0, 0.0, 0.0]))
+        g = metric_jet(spec, np.array([10.0, 0.0, 0.0]), 0)[0]
         # (1 + 1/20)^4 = 1.21550625
         assert g[0, 0] == pytest.approx(1.21550625, rel=1e-14)
         assert g[1, 1] == pytest.approx(1.21550625, rel=1e-14)
@@ -52,7 +53,7 @@ class TestSchwarzschildValues:
     def test_scalar_flat(self, n):
         spec = schwarzschild(n, 0.8)
         x = np.array([[3.0] + [0.5] * (n - 1), [1.0] * n])
-        R = scalar_curvature(metric_at(spec, x), *metric_derivatives_at(spec, x))
+        R = scalar_curvature(metric_jet(spec, x, 0)[0], *metric_derivatives_at(spec, x))
         assert np.allclose(R, 0.0, atol=1e-7)
 
     def test_mass_hint(self):
@@ -92,7 +93,7 @@ class TestDerivativeModes:
             metric_derivatives_at(spec, np.array([1.2, 0.0, 0.0]) - offset,
                                   order=1)
         with pytest.raises(SingularPoint):
-            metric_at(spec, np.array([0.5, 0.0, 0.0]) - offset)
+            metric_jet(spec, np.array([0.5, 0.0, 0.0]) - offset, 0)[0]
 
 
 def _stencil(n):
@@ -114,7 +115,7 @@ class TestMetricJet:
     ], ids=["single", "batch"])
     def test_equals_the_two_entry_points(self, mode, x):
         spec = JET_MODES[mode]()
-        g = metric_at(spec, x)
+        g = metric_jet(spec, x, 0)[0]
         dg = metric_derivatives_at(spec, x, order=1)
         derivs = metric_derivatives_at(spec, x, order=2)
         expected = {0: [g], 1: [g, dg], 2: [g, *derivs]}
@@ -233,7 +234,7 @@ class TestOneJet:
             monkeypatch.setattr(family, "jet", recording)
         profile = spec.family.base.radial_profile
         monkeypatch.setattr(profile, "d2u", None)
-        metric_at(spec, np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]]))
+        metric_jet(spec, np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]]), 0)[0]
         assert orders == [0, 0]
 
 
@@ -405,7 +406,22 @@ class TestPositiveDefinite:
             d2u=lambda r: np.zeros_like(r),
         )
         with pytest.raises(NotPositiveDefinite):
-            metric_at(conformally_flat(3, prof), np.array([2.0, 0.0, 0.0]))
+            metric_jet(conformally_flat(3, prof), np.array([2.0, 0.0, 0.0]), 0)[0]
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_conformal_jet_overflow(self, action):
+        # U = 1 everywhere, but grad U overflows at the second point: the
+        # same error whatever the warnings filter, naming that point
+        field = ScalarField(
+            lambda x: np.ones(len(x)),
+            lambda x: np.where(x[:, :1] > 2.5, 1e300, 0.0) * 1e300 * np.ones_like(x),
+            lambda x: np.zeros((len(x), 3, 3)),
+        )
+        x = np.array([[2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(NotPositiveDefinite, match=r"at \[3\.0, 0\.0, 0\.0\]"):
+                metric_jet(conformally_flat(3, field), x, 1)
 
     def test_asymptotically_schwarzschild_matches_eigenvalues(self):
         # the check is exactly "lowest eigenvalue of g > 0"
@@ -450,7 +466,7 @@ class TestPointChecks:
     def test_singular_origin(self):
         spec = schwarzschild(3, 1.0)
         with pytest.raises(SingularPoint):
-            metric_at(spec, np.zeros(3))
+            metric_jet(spec, np.zeros(3), 0)[0]
 
     def test_non_positive_conformal_factor(self):
         from afmass.metrics import NonPositiveConformalFactor, RadialProfile
@@ -463,17 +479,17 @@ class TestPointChecks:
         )
         spec = conformally_flat(3, prof)
         with pytest.raises(NonPositiveConformalFactor):
-            metric_at(spec, np.array([1.0, 0.0, 0.0]))
+            metric_jet(spec, np.array([1.0, 0.0, 0.0]), 0)[0]
 
     def test_not_positive_definite(self):
         # large negative tensor perturbation makes g indefinite near origin
         spec = asymptotically_schwarzschild(3, 1.0, c=-50.0)
         with pytest.raises(NotPositiveDefinite):
-            metric_at(spec, np.array([1.0, 0.0, 0.0]))
+            metric_jet(spec, np.array([1.0, 0.0, 0.0]), 0)[0]
 
     def test_euclidean_everywhere(self):
         spec = euclidean(4)
-        g = metric_at(spec, np.array([0.0, 0.0, 0.0, 0.0]))
+        g = metric_jet(spec, np.array([0.0, 0.0, 0.0, 0.0]), 0)[0]
         assert np.allclose(g, np.eye(4))
 
 
@@ -505,7 +521,7 @@ class TestWrappers:
         base = schwarzschild(3, 1.0)
         spec = scaled(base, 2.0)
         x = np.array([5.0, 0.0, 0.0])
-        assert np.allclose(metric_at(spec, 2.0 * x), metric_at(base, x))
+        assert np.allclose(metric_jet(spec, 2.0 * x, 0)[0], metric_jet(base, x, 0)[0])
 
     def test_scaled_mass_hint(self):
         base = schwarzschild(4, 1.0)
@@ -517,7 +533,7 @@ class TestWrappers:
         spec = translated(base, np.array([1.0, 2.0, 3.0]))
         x = np.array([4.0, 0.0, 0.0])
         assert np.allclose(
-            metric_at(spec, x), metric_at(base, x + np.array([1.0, 2.0, 3.0]))
+            metric_jet(spec, x, 0)[0], metric_jet(base, x + np.array([1.0, 2.0, 3.0]), 0)[0]
         )
 
     def test_asymptotically_schwarzschild_decay(self):
@@ -525,7 +541,7 @@ class TestWrappers:
         sch = schwarzschild(3, 1.0)
         for r, tol in ((10.0, 2e-2), (100.0, 2e-4)):
             x = np.array([r, 0.0, 0.0])
-            diff = np.abs(metric_at(spec, x) - metric_at(sch, x)).max()
+            diff = np.abs(metric_jet(spec, x, 0)[0] - metric_jet(sch, x, 0)[0]).max()
             assert diff < tol
 
 
@@ -544,14 +560,14 @@ class TestJsonRoundTrip:
         doc = metric_to_json(spec)
         back = metric_from_json(doc)
         x = np.array([[3.0] + [1.0] * (spec.n - 1)])
-        assert np.allclose(metric_at(spec, x), metric_at(back, x))
+        assert np.allclose(metric_jet(spec, x, 0)[0], metric_jet(back, x, 0)[0])
         assert metric_to_json(back) == doc
 
     def test_wrappers(self):
         spec = translated(scaled(schwarzschild(3, 1.0), 2.0), [0.0, 1.0, 0.0])
         back = metric_from_json(metric_to_json(spec))
         x = np.array([[4.0, 2.0, 1.0]])
-        assert np.allclose(metric_at(spec, x), metric_at(back, x))
+        assert np.allclose(metric_jet(spec, x, 0)[0], metric_jet(back, x, 0)[0])
 
     def test_shell(self):
         from afmass.shells import shell_metric
@@ -559,7 +575,7 @@ class TestJsonRoundTrip:
         spec = shell_metric(3, 2)
         back = metric_from_json(metric_to_json(spec))
         x = np.array([[1.5, 0.0, 0.0], [3.0, 1.0, 0.0]])
-        assert np.allclose(metric_at(spec, x), metric_at(back, x), atol=1e-12)
+        assert np.allclose(metric_jet(spec, x, 0)[0], metric_jet(back, x, 0)[0], atol=1e-12)
 
     def test_cone(self):
         from afmass.cone import capped_cone, cone_metric_spec
@@ -594,9 +610,9 @@ class TestJsonRoundTrip:
         assert np.array_equal(back.family.B, spec.family.B)
         assert metric_to_json(back) == doc
         x = np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]])
-        assert np.array_equal(metric_at(back, x), metric_at(spec, x))
+        assert np.array_equal(metric_jet(back, x, 0)[0], metric_jet(spec, x, 0)[0])
         default = asymptotically_schwarzschild(3, 1.0, c=0.2)
-        assert not np.allclose(metric_at(back, x), metric_at(default, x))
+        assert not np.allclose(metric_jet(back, x, 0)[0], metric_jet(default, x, 0)[0])
 
     def test_default_direction_document_unchanged(self):
         # the default B = e1 e1 writes no direction, explicit or implied

@@ -9,8 +9,8 @@ from afmass import sequences
 from afmass.mass import adm_mass
 from afmass.metrics import (
     asymptotically_schwarzschild,
-    metric_at,
     metric_derivatives_at,
+    metric_jet,
     schwarzschild,
     translated,
 )
@@ -61,13 +61,13 @@ class TestBlowUpWindow:
         p = np.array([2.0, 1.0, -0.5, 1.5])
         i = 3
         sample = blow_up_window(spec, p, i, half_width=0.5, q=3)
-        lam, V = np.linalg.eigh(metric_at(spec, p))
+        lam, V = np.linalg.eigh(metric_jet(spec, p, 0)[0])
         A = (V / np.sqrt(lam)) @ V.T
         A = 0.5 * (A + A.T)
         pts = p + sample.grid @ A.T / i
         dg, d2g = metric_derivatives_at(spec, pts, order=2)
         expected = [
-            np.einsum("ia,nij,jb->nab", A, metric_at(spec, pts), A),
+            np.einsum("ia,nij,jb->nab", A, metric_jet(spec, pts, 0)[0], A),
             np.einsum("nmij,mk,ia,jb->nkab", dg, A, A, A) / i,
             np.einsum("nmpij,mk,pl,ia,jb->nklab", d2g, A, A, A, A) / i ** 2,
         ]
@@ -129,7 +129,7 @@ class TestEscapingWindow:
         sample = escaping_window(spec, center, half_width=0.5, q=3)
         shifted = translated(spec, center)
         assert np.allclose(
-            sample.g, metric_at(shifted, sample.grid), atol=1e-12
+            sample.g, metric_jet(shifted, sample.grid, 0)[0], atol=1e-12
         )
 
     def test_distance_decays_at_metric_rate(self):

@@ -11,7 +11,7 @@ import afmass
 from afmass.geometry import unit_sphere_area
 from afmass.mass import adm_mass
 from afmass.curvature import scalar_curvature
-from afmass.metrics import metric_at, metric_derivatives_at
+from afmass.metrics import metric_derivatives_at, metric_jet
 from afmass.shells import (
     _charge_function,
     default_shell_density,
@@ -102,21 +102,21 @@ class TestShellMetrics:
     def test_flat_inside_cavity(self):
         spec = shell_metric(3, 4)
         x = np.array([[1.0, 0.5, 0.0]])
-        R = scalar_curvature(metric_at(spec, x), *metric_derivatives_at(spec, x))
+        R = scalar_curvature(metric_jet(spec, x, 0)[0], *metric_derivatives_at(spec, x))
         assert R == pytest.approx(0.0, abs=1e-10)
-        g = metric_at(spec, x)
+        g = metric_jet(spec, x, 0)[0]
         # conformal to flat with a constant factor: curvature-free
         assert np.allclose(g[0], g[0, 0, 0] * np.eye(3))
 
     def test_scalar_flat_outside_support(self):
         spec = shell_metric(3, 2)
         x = np.array([[3.0, 0.0, 0.0], [10.0, 1.0, 0.0]])
-        assert np.allclose(scalar_curvature(metric_at(spec, x), *metric_derivatives_at(spec, x)), 0.0, atol=1e-10)
+        assert np.allclose(scalar_curvature(metric_jet(spec, x, 0)[0], *metric_derivatives_at(spec, x)), 0.0, atol=1e-10)
 
     def test_nonnegative_curvature_in_support(self):
         spec = shell_metric(3, 2)
         x = np.array([[1.5, 0.0, 0.0], [1.7, 0.2, 0.0]])
-        assert np.all(scalar_curvature(metric_at(spec, x), *metric_derivatives_at(spec, x)) >= 0.0)
+        assert np.all(scalar_curvature(metric_jet(spec, x, 0)[0], *metric_derivatives_at(spec, x)) >= 0.0)
 
 
 class TestMatterCoupling:

@@ -16,17 +16,16 @@ from afmass.metrics import (
     euclidean,
     harmonic_dipole_field,
     conformally_flat,
-    metric_at,
+    metric_jet,
     scaled,
     schwarzschild,
     translated,
 )
 from afmass.spheres import (
+    _geometry_at,
     conformal_mean_curvature,
     conformal_sphere_area,
     conformal_sphere_scalar_curvature,
-    intrinsic_scalar_curvature_at,
-    mean_curvature_at,
     sphere_area,
     sphere_report,
 )
@@ -51,14 +50,14 @@ class TestEuclideanSpheres:
     def test_mean_curvature(self, n):
         spec = euclidean(n)
         phi = np.array([[0.7] * (n - 1), [1.2] + [0.4] * (n - 2)])
-        H = mean_curvature_at(spec, 5.0, phi)
+        H = _geometry_at(spec, 5.0, 5.0 * sphere_chart(phi), 1)[1]
         assert np.allclose(H, (n - 1) / 5.0, rtol=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_intrinsic_curvature(self, n):
         spec = euclidean(n)
         phi = np.array([[0.9] * (n - 1)])
-        rho = intrinsic_scalar_curvature_at(spec, 5.0, phi)
+        rho = _geometry_at(spec, 5.0, 5.0 * sphere_chart(phi), 2)[2]
         assert rho == pytest.approx((n - 1) * (n - 2) / 25.0, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -83,12 +82,12 @@ class TestEuclideanSpheres:
 class TestSchwarzschildOracles:
     def test_closed_form_values_n3(self):
         spec = schwarzschild(3, 1.0)
-        phi = np.array([0.9, 1.3])
+        x = 10.0 * sphere_chart(np.array([[0.9, 1.3]]))
         assert sphere_area(spec, 10.0) == pytest.approx(ORACLE_N3["area"], rel=1e-13)
-        assert mean_curvature_at(spec, 10.0, phi) == pytest.approx(
+        assert _geometry_at(spec, 10.0, x, 1)[1][0] == pytest.approx(
             ORACLE_N3["H"], rel=1e-13
         )
-        assert intrinsic_scalar_curvature_at(spec, 10.0, phi) == pytest.approx(
+        assert _geometry_at(spec, 10.0, x, 2)[2][0] == pytest.approx(
             ORACLE_N3["rho"], rel=1e-13
         )
         # the report takes the closed forms
@@ -98,12 +97,12 @@ class TestSchwarzschildOracles:
 
     def test_closed_form_values_n5(self):
         spec = schwarzschild(5, 2.0)
-        phi = np.array([0.9, 1.1, 1.3, 0.7])
+        x = 4.0 * sphere_chart(np.array([[0.9, 1.1, 1.3, 0.7]]))
         assert sphere_area(spec, 4.0) == pytest.approx(ORACLE_N5["area"], rel=1e-13)
-        assert mean_curvature_at(spec, 4.0, phi) == pytest.approx(
+        assert _geometry_at(spec, 4.0, x, 1)[1][0] == pytest.approx(
             ORACLE_N5["H"], rel=1e-13
         )
-        assert intrinsic_scalar_curvature_at(spec, 4.0, phi) == pytest.approx(
+        assert _geometry_at(spec, 4.0, x, 2)[2][0] == pytest.approx(
             ORACLE_N5["rho"], rel=1e-13
         )
         # the report takes the closed forms
@@ -113,10 +112,10 @@ class TestSchwarzschildOracles:
 
     def test_generic_route_matches_closed_form(self):
         spec = schwarzschild(3, 1.0)
-        phi = np.array([[0.9, 1.3]])
-        Hg = mean_curvature_at(spec, 10.0, phi)[0]
+        x = 10.0 * sphere_chart(np.array([[0.9, 1.3]]))
+        Hg = _geometry_at(spec, 10.0, x, 1)[1][0]
         assert Hg == pytest.approx(ORACLE_N3["H"], rel=1e-10)
-        rg = intrinsic_scalar_curvature_at(spec, 10.0, phi)[0]
+        rg = _geometry_at(spec, 10.0, x, 2)[2][0]
         assert rg == pytest.approx(ORACLE_N3["rho"], rel=1e-8)
         ag = sphere_area(translated(spec, np.zeros(3)), 10.0, q=24)
         assert ag == pytest.approx(ORACLE_N3["area"], rel=1e-10)
@@ -128,14 +127,15 @@ class TestPoles:
     def test_generic_route_at_poles(self, n):
         phi = np.array([[0.0] + [0.7] * (n - 2), [math.pi] + [0.4] * (n - 2)])
         r = 6.0
+        x = r * sphere_chart(phi)
         flat = euclidean(n)
-        H = mean_curvature_at(flat, r, phi)
-        rho = intrinsic_scalar_curvature_at(flat, r, phi)
+        H = _geometry_at(flat, r, x, 1)[1]
+        rho = _geometry_at(flat, r, x, 2)[2]
         assert np.allclose(H, (n - 1) / r, rtol=1e-12, atol=0.0)
         assert np.allclose(rho, (n - 1) * (n - 2) / r ** 2, rtol=1e-12, atol=0.0)
         spec = schwarzschild(n, 1.5)
-        H = mean_curvature_at(spec, r, phi)
-        rho = intrinsic_scalar_curvature_at(spec, r, phi)
+        H = _geometry_at(spec, r, x, 1)[1]
+        rho = _geometry_at(spec, r, x, 2)[2]
         u, du = _radial_factor(spec, r)
         assert np.allclose(H, conformal_mean_curvature(n, r, u, du),
                            rtol=1e-12, atol=0.0)
@@ -151,7 +151,7 @@ def _pullback_area_density(spec, r, phi):
         np.stack([np.zeros_like(a), -np.sin(a) * np.sin(b), np.sin(a) * np.cos(b)],
                  axis=1),
     ], axis=2) * r
-    g = metric_at(spec, r * sphere_chart(phi))
+    g = metric_jet(spec, r * sphere_chart(phi), 0)[0]
     return np.sqrt(np.linalg.det(np.einsum("nka,nkl,nlb->nab", J, g, J)))
 
 
@@ -168,7 +168,7 @@ class TestChartFreeOracles:
         # int_{S_r} rho dA = 4 pi chi(S^2) = 8 pi for every metric at n = 3
         spec = NON_SYMMETRIC_N3[name]
         phi, w = SphereQuadrature(3, 16).full_grid()
-        rho = intrinsic_scalar_curvature_at(spec, r, phi)
+        rho = _geometry_at(spec, r, r * sphere_chart(phi), 2)[2]
         total = float(np.dot(w, rho * _pullback_area_density(spec, r, phi)))
         assert total == pytest.approx(8.0 * math.pi, rel=1e-10)
 
