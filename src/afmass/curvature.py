@@ -3,8 +3,10 @@
 All routines are batched: metric arrays have shape (N, d, d), first
 derivatives (N, d, d, d) with dg[:, k, i, j] = d_k g_ij, and second
 derivatives (N, d, d, d, d) with d2g[:, k, l, i, j] = d_k d_l g_ij.
-scalar_curvature is the one public entry point; metrics.metric_jet supplies
-its arguments.
+fd_metric_derivatives returns dg and d2g in this layout as transposed views
+of direction-major buffers, (d, N, d, d) and (d, d, N, d, d); like every
+jet they are fresh arrays that the caller owns.  scalar_curvature is the
+one public entry point; metrics.metric_jet supplies its arguments.
 """
 
 import numpy as np
@@ -77,6 +79,12 @@ def fd_metric_derivatives(fn, x, h):
     module docstring, from 3-point central stencils (second order in h) and
     their composition for the mixed second derivatives.  h is one step or
     one step per point (N,).
+
+    Each difference is written once into a contiguous direction-major buffer
+    (dg_buf[k] = d_k g, d2g_buf[k, l] = d_k d_l g, each (N, d, d)); dg and
+    d2g are transposed views of these buffers, fresh arrays that the caller
+    owns.  fn is called at the centre, the d points x + h e_k, the d points
+    x - h e_k and then four points per pair k < l, in that order.
     """
     x = np.asarray(x, dtype=float)
     N, d = x.shape
@@ -87,29 +95,38 @@ def fd_metric_derivatives(fn, x, h):
     two_h, h_sq = 2.0 * hm, hm ** 2
     four_h_sq = 4.0 * h_sq
     f0 = fn(x)
-    dg = np.empty((N, d, d, d))
-    d2g = np.empty((N, d, d, d, d))
+    two_f0 = 2.0 * f0
+    dg_buf = np.empty((d, N, d, d))
+    d2g_buf = np.empty((d, d, N, d, d))
+    y = x.copy()
 
-    def shift(k, a, m=None, b=0.0):
-        y = x.copy()
-        y[:, k] += a * h
-        if m is not None:
-            y[:, m] += b * h
-        return fn(y)
+    def shifted(*steps):
+        """fn at x moved by a h along axis k for each (k, a) in steps,
+        through the one buffer y, which is then reset to x."""
+        for k, a in steps:
+            y[:, k] = x[:, k] + a * h
+        f = fn(y)
+        for k, _ in steps:
+            y[:, k] = x[:, k]
+        return f
 
-    plus = [shift(k, 1.0) for k in range(d)]
-    minus = [shift(k, -1.0) for k in range(d)]
+    # fn(x + h e_k) waits in d2g_buf[k, k] until fn(x - h e_k) is known
     for k in range(d):
-        dg[:, k] = (plus[k] - minus[k]) / two_h
-        d2g[:, k, k] = (plus[k] - 2.0 * f0 + minus[k]) / h_sq
+        d2g_buf[k, k] = shifted((k, 1.0))
+    for k in range(d):
+        plus, minus = d2g_buf[k, k], shifted((k, -1.0))
+        np.subtract(plus, minus, out=dg_buf[k])
+        dg_buf[k] /= two_h
+        plus -= two_f0
+        plus += minus
+        plus /= h_sq
     for k in range(d):
         for m in range(k + 1, d):
-            mixed = (
-                shift(k, 1.0, m, 1.0)
-                - shift(k, 1.0, m, -1.0)
-                - shift(k, -1.0, m, 1.0)
-                + shift(k, -1.0, m, -1.0)
-            ) / four_h_sq
-            d2g[:, k, m] = mixed
-            d2g[:, m, k] = mixed
-    return f0, dg, d2g
+            mixed = d2g_buf[k, m]
+            np.subtract(shifted((k, 1.0), (m, 1.0)), shifted((k, 1.0), (m, -1.0)),
+                        out=mixed)
+            mixed -= shifted((k, -1.0), (m, 1.0))
+            mixed += shifted((k, -1.0), (m, -1.0))
+            mixed /= four_h_sq
+            d2g_buf[m, k] = mixed
+    return f0, dg_buf.transpose(1, 0, 2, 3), d2g_buf.transpose(2, 0, 1, 3, 4)

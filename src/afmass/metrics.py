@@ -440,6 +440,10 @@ class AsymptoticallySchwarzschildFamily(Family):
         # g = F I + c w B with w > 0 has lowest eigenvalue F + w lowest; with
         # c B positive semidefinite (lowest = 0) F > 0 suffices
         self._lowest = min(0.0, float(np.linalg.eigvalsh(c * B)[0]))
+        # per unit of max |w_k|, a bound on the entries of c w_k B and of the
+        # traces mass_vector takes of it (inf when even that overflows)
+        with np.errstate(over="ignore"):
+            self._reach = 2.0 * n * n * abs(c) * float(np.max(np.abs(B)))
         self.symmetry = _axis_of(B)
         self.mass_hint = float(m)
 
@@ -447,7 +451,10 @@ class AsymptoticallySchwarzschildFamily(Family):
         """[w, dw, d2w][:order + 1] of w = s^p, s = 1 + |x|^2, p = -(n-1)/2:
         dw = 2p s^{p-1} x, d2w = 2p s^{p-1} I + 4p(p-1) s^{p-2} x x.  f is
         the base's F = U^e at x; raises NotPositiveDefinite where
-        F + w lowest <= 0, the lowest eigenvalue of g = F I + c w B."""
+        F + w lowest <= 0, the lowest eigenvalue of g = F I + c w B, and,
+        for order >= 1, where c w B or its derivatives overflow.  Order 0
+        is not checked: there 0 < w <= 1, so c w B overflows only where
+        c B itself does."""
         p = -(self.n - 1) / 2.0
         s = 1.0 + np.einsum("ni,ni->n", x, x)
         w = [s ** p]
@@ -466,6 +473,14 @@ class AsymptoticallySchwarzschildFamily(Family):
                 + (4.0 * p * (p - 1.0) * s ** (p - 2.0))[:, None, None]
                 * np.einsum("nk,nl->nkl", x, x)
             )
+        if order >= 1:
+            largest = max(np.abs(wk).max(initial=0.0) for wk in w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                overflows = self._reach * largest > np.finfo(float).max
+            if overflows:
+                raise NotPositiveDefinite(
+                    f"{self.name}: c w B overflows at order {order} (c = {self.c})"
+                )
         return w
 
     def jet(self, x, order):

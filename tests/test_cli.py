@@ -372,6 +372,12 @@ OVERFLOWING_DOCS = {
         "command": "weighted-mass", "q": 4,
         "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1e308}},
     }, "NotPositiveDefinite"),
+    # c w is finite, but c d2w overflows near the origin
+    "weighted-mass-perturbation": ({
+        "command": "weighted-mass", "q": 4,
+        "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                 "params": {"m": 1.0, "c": 1e308}},
+    }, "NotPositiveDefinite"),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,20 @@ from afmass.curvature import (
     fd_metric_derivatives,
     scalar_curvature,
 )
+from afmass.cone import cone_metric_spec, perturbed_cone
 from afmass.metrics import (
+    _fd_steps,
     asymptotically_schwarzschild,
     metric_derivatives_at,
     metric_jet,
+    translated,
 )
-from fd_reference import curvature_of_metric_fn, fd4_metric_derivatives
+from afmass.shells import shell_metric
+from fd_reference import (
+    curvature_of_metric_fn,
+    fd2_metric_derivatives,
+    fd4_metric_derivatives,
+)
 from ricci_reference import ricci_reference
 
 
@@ -114,3 +124,73 @@ def test_ricci_matches_christoffel_derivative_reference(n):
     ginv = np.linalg.inv(g)
     ric = _ricci_from_inverse(ginv, dg, d2g, *_christoffels(ginv, dg))
     assert np.abs(ric - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _stencil_spec(kind, n):
+    """An fd spec of the given kind: "no-axis" is AS with a direction that
+    has no axis, "translated" a shell moved off the origin; at n = 2, where
+    neither family exists, the perturbed cone and the moved cone."""
+    if kind == "no-axis":
+        if n == 2:
+            return cone_metric_spec(perturbed_cone(0.6), derivative_mode="fd")
+        direction = np.diag(np.arange(n) - 0.5 * (n - 1))
+        return asymptotically_schwarzschild(n, 1.3, c=0.4, direction=direction,
+                                            derivative_mode="fd")
+    base = (cone_metric_spec(perturbed_cone(0.6)) if n == 2
+            else shell_metric(n, 2))
+    offset = np.linspace(0.5, 1.5, n)
+    return translated(base, offset, derivative_mode="fd")
+
+
+def _recording(fn, calls):
+    def record(y):
+        calls.append(y.copy())
+        return fn(y)
+    return record
+
+
+@pytest.mark.parametrize("kind", ["no-axis", "translated"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_fd_stencil_is_bitwise_the_reference(kind, n, per_point):
+    # the stencil writes into direction-major buffers; the reference loop
+    # allocates every difference afresh.  Same evaluations, same arithmetic
+    spec = _stencil_spec(kind, n)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(3.0, 12.0, size=(24, n)) * rng.choice([-1.0, 1.0], size=(24, n))
+    h = _fd_steps(spec, x)[1] if per_point else 1e-3
+    calls, ref_calls = [], []
+    f0, dg, d2g = fd_metric_derivatives(_recording(spec.family.metric, calls), x, h)
+    ref = fd2_metric_derivatives(_recording(spec.family.metric, ref_calls), x, h)
+    assert len(calls) == len(ref_calls) == 1 + 2 * n * n
+    assert all(np.array_equal(a, b) for a, b in zip(calls, ref_calls))
+    for got, want in zip((f0, dg, d2g), ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    # fresh arrays, owned by the caller
+    arrays = (f0, dg, d2g, x)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for k in range(n):
+        for m in range(n):
+            assert np.array_equal(d2g[:, k, m], d2g[:, m, k])
+    f0_before, d2g_before = f0.copy(), d2g.copy()
+    dg += 1.0
+    assert np.array_equal(f0, f0_before) and np.array_equal(d2g, d2g_before)
+
+
+@pytest.mark.parametrize("order,bound_mib", [(1, 80), (2, 140)])
+def test_fd_jet_memory_is_bounded(order, bound_mib):
+    # 10^4 points at n = 5: g is 1.9 MiB, dg 9.5 MiB and d2g 47.7 MiB.  The
+    # stencil holds no more than one shifted metric besides its buffers
+    spec = asymptotically_schwarzschild(5, 1.0, derivative_mode="fd")
+    x = np.random.default_rng(5).uniform(2.0, 20.0, size=(10 ** 4, 5))
+    tracemalloc.start()
+    try:
+        jet = metric_jet(spec, x, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(jet) == order + 1
+    assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
