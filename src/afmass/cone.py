@@ -17,7 +17,14 @@ Two independent routes compute it:
   and the total curvature over 2 pi has the same limit.
 
 total_gauss_curvature integrates the closed form K = -f''/f; the tests
-cross-check it with the generic Christoffel computation.
+cross-check it with the generic Christoffel computation.  Both routes read
+the profile, not the Cartesian chart (Cone2DFamily): there the tangential
+eigenvalue of g is (f/r)^2 -> alpha^2 while the chart's Christoffel
+symbols stay of order 1/r, so the generic curvature is a cancellation of
+terms far larger than K once alpha is small.  On that chart the
+Gauss-Bonnet integral of R sqrt(det g) over r <= 32 is off by 9e-6 at
+alpha = 1e-4 and by 29 at alpha = 1e-6 (capped cone), where the closed
+forms answer for every alpha in (0, 1].
 """
 
 import math
@@ -63,8 +70,6 @@ class ConicalSurface:
     alpha: float
     transition_radius: float = 1.0
     name: str = "cone"
-    #: serialization extras (perturbation parameters etc.)
-    meta: tuple = ()
 
 
 def capped_cone(alpha):
@@ -143,8 +148,7 @@ def perturbed_cone(alpha, amplitude=0.1, tau=1.0):
                 + amplitude * r ** -tau * d2z(r))
 
     return ConicalSurface(f=f, df=df, d2f=d2f, alpha=alpha,
-                          transition_radius=1.0, name="perturbed_cone",
-                          meta=(("perturbation", amplitude), ("tau", tau)))
+                          transition_radius=1.0, name="perturbed_cone")
 
 
 def geodesic_curvature_integral(surface, r):
@@ -238,8 +242,9 @@ class Cone2DFamily(Family):
 
     In coordinates x = (r cos theta, r sin theta) the metric
     dr^2 + f(r)^2 dtheta^2 is g = I + s(r) T with T = r^2 I - x x^T, the
-    tangential projector times r^2, and s = (f^2 - r^2) / r^4.  It is
-    positive definite where f != 0; NotPositiveDefinite elsewhere."""
+    tangential projector times r^2, and s = (f^2 - r^2) / r^4.  The jet
+    raises NotPositiveDefinite where f <= 0: the profile is then no surface
+    of revolution.  The cap edge is the one radial breakpoint."""
 
     name = "Cone2D"
     excludes_origin = True
@@ -248,6 +253,7 @@ class Cone2DFamily(Family):
     def __init__(self, surface):
         self.surface = surface
         self.n = 2
+        self.radial_breakpoints = (surface.transition_radius,)
 
     def jet(self, x, order):
         """[g, dg, d2g][:order + 1] from f, f', f'' at r = |x|, by the
@@ -257,9 +263,9 @@ class Cone2DFamily(Family):
         d_k d_l T_ij = 2 delta_kl delta_ij - delta_ik delta_jl - delta_il delta_jk."""
         r = np.linalg.norm(x, axis=1)
         f = self.surface.f(r)
-        if np.any(f == 0.0):
+        if np.any(f <= 0.0):
             raise NotPositiveDefinite(
-                f"{self.name}: f = 0 at r = {r[f == 0.0][:3]}"
+                f"{self.name}: f <= 0 at r = {r[f <= 0.0][:3]}"
             )
         eye = np.eye(2)
         xx = np.einsum("ni,nj->nij", x, x)
@@ -291,11 +297,6 @@ class Cone2DFamily(Family):
             + s[:, None, None, None, None] * d2T
         )
         return jet
-
-    def params_json(self):
-        out = {"alpha": self.surface.alpha}
-        out.update(dict(self.surface.meta))
-        return out
 
 
 def cone_metric_spec(surface, **kw):

@@ -77,16 +77,6 @@ class MassEstimate:
             "model": dict(self.model),
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            value=float(obj["value"]),
-            error=float(obj["error"]),
-            radii=tuple(float(r) for r in obj["radii"]),
-            raw=tuple(float(v) for v in obj["raw"]),
-            model={k: float(v) for k, v in obj["model"].items()},
-        )
-
 
 def fit_inverse_power(radii, values, p):
     """Least-squares fit of values ~ c0 + c1 r^{-p}; returns (c0, c1, rms).

@@ -435,6 +435,10 @@ class AsymptoticallySchwarzschildFamily(Family):
                 raise ValueError(f"direction must be an {n} x {n} matrix")
             B = 0.5 * (B + B.T)
         self.B = B
+        # 0 < w <= 1, so c w B overflows at order 0 only where c B does
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(c * B)):
+                raise NotPositiveDefinite(f"{self.name}: c B overflows (c = {c})")
         # the entries (i, j) where c w B adds to the base's jet
         self._nonzero = tuple(zip(*np.nonzero(B)))
         # g = F I + c w B with w > 0 has lowest eigenvalue F + w lowest; with
@@ -454,7 +458,7 @@ class AsymptoticallySchwarzschildFamily(Family):
         F + w lowest <= 0, the lowest eigenvalue of g = F I + c w B, and,
         for order >= 1, where c w B or its derivatives overflow.  Order 0
         is not checked: there 0 < w <= 1, so c w B overflows only where
-        c B itself does."""
+        c B itself does, which __init__ rejects."""
         p = -(self.n - 1) / 2.0
         s = 1.0 + np.einsum("ni,ni->n", x, x)
         w = [s ** p]
@@ -838,17 +842,6 @@ def _spec_from_json(doc, n):
         from . import shells  # deferred: shells imports this module
 
         return shells.shell_metric(n, int(p["i"]), **kw)
-    if fam == "Cone2D":
-        from . import cone
-
-        amp = p.get("perturbation", 0.0)
-        if amp:
-            surface = cone.perturbed_cone(
-                p["alpha"], amplitude=amp, tau=p.get("tau", 1.0)
-            )
-        else:
-            surface = cone.capped_cone(p["alpha"])
-        return cone.cone_metric_spec(surface, **kw)
     if fam == "Scaled":
         return scaled(metric_from_json(p["base"]), p["lambda"], **kw)
     if fam == "Translated":

@@ -12,20 +12,12 @@ import json
 import math
 
 from . import __version__
-from .sequences import ExperimentReport
-from .spheres import SphereReport
-from .weighted import DefectReport
 
 __all__ = [
     "package_version",
     "write_json_report",
-    "read_json",
     "write_csv",
-    "read_csv",
-    "experiment_report_from_json",
     "defect_report_to_json",
-    "defect_report_from_json",
-    "sphere_report_csv_rows",
     "strip_volatile",
 ]
 
@@ -66,11 +58,6 @@ def write_json_report(path, payload, config=None):
     return doc
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def strip_volatile(doc):
     """Copy of a report document without run-dependent fields."""
     return {k: v for k, v in doc.items() if k not in VOLATILE_FIELDS}
@@ -92,36 +79,5 @@ def _format_cell(v):
     return v
 
 
-def read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    return rows[0], rows[1:]
-
-
-def experiment_report_from_json(obj):
-    return ExperimentReport(
-        label=obj["label"],
-        kind=obj["kind"],
-        indices=tuple(obj["indices"]),
-        masses=tuple(obj["masses"]),
-        limit_mass=float(obj["limit_mass"]),
-        distances=tuple(obj["distances"]),
-        exponent=float(obj["exponent"]),
-        expected_exponent=float(obj["expected_exponent"]),
-        verdict=bool(obj["verdict"]),
-        drop=float(obj["drop"]),
-        details=dict(obj.get("details", {})),
-    )
-
-
 def defect_report_to_json(rep):
     return {"mass": rep.mass, "matter": rep.matter, "defect": rep.defect}
-
-
-def defect_report_from_json(obj):
-    return DefectReport(mass=float(obj["mass"]), matter=float(obj["matter"]))
-
-
-def sphere_report_csv_rows(reports):
-    return SphereReport.csv_columns, [rep.csv_row() for rep in reports]

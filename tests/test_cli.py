@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import afmass
 import afmass.mass
 from afmass.cli import ConfigInvalid, RunConfig, main, run
-from afmass.reports import read_csv, read_json, strip_volatile
+from afmass.reports import strip_volatile
+
+from report_files import read_csv, read_json
 
 
 def _reject_constant(name):
@@ -378,6 +380,23 @@ OVERFLOWING_DOCS = {
         "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
                  "params": {"m": 1.0, "c": 1e308}},
     }, "NotPositiveDefinite"),
+    # c B is finite, but det g overflows in the scalar-curvature density
+    "weighted-mass-det": ({
+        "command": "weighted-mass", "q": 4,
+        "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                 "params": {"m": 1.0, "c": 1e300}},
+    }, "FitIllConditioned"),
+    # c B itself overflows: the family is never built
+    **{f"{command}-{mode}-direction": ({
+        "command": command, "q": 4, "radii": [20.0, 40.0, 80.0, 160.0],
+        "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                 "params": {"m": 1.0, "c": 1e308,
+                            "direction": [[10, 0, 0], [0, 0, 0], [0, 0, 0]]},
+                 "derivative_mode": mode},
+    }, "NotPositiveDefinite") for command, mode in (
+        ("adm-mass", "analytic"), ("adm-mass", "fd"), ("fg-profile", "analytic"),
+        ("weighted-mass", "fd"),
+    )},
 }
 
 

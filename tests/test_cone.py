@@ -20,9 +20,7 @@ from afmass.cone import (
 )
 from afmass.metrics import (
     NotPositiveDefinite,
-    metric_from_json,
     metric_jet,
-    metric_to_json,
     scaled,
     translated,
 )
@@ -176,6 +174,31 @@ class TestConeMass:
         with pytest.raises(EstimatesDisagree, match="r = 16"):
             cone_mass(broken)
 
+    # cone_mass for openings down to the smallest the CLI accepts:
+    # (value, error, raw) at the default radii 4, 8, 16, 32
+    RECORDED = {
+        "capped 0.7": (0.29999999999999993, 2.3821432867820566e-16,
+                       (0.30000000000000004,) * 4),
+        "perturbed 0.7": (0.30026160916043665, 0.00037954419387323257,
+                          (0.3030899047851563, 0.3013484537601471,
+                           0.3003769813338295, 0.30009679933946254)),
+        "capped 1e-4": (0.9998999999999997, 7.594561506268143e-16, (0.9999,) * 4),
+        "perturbed 1e-4": (1.0001616091604362, 0.00037954419387283017,
+                           (1.0029899047851563, 1.0012484537601472,
+                            1.0002769813338295, 0.9999967993394625)),
+        "capped 1e-300": (0.9999999999999998, 4.764286573564113e-16, (1.0,) * 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_recorded_values(self, name):
+        kind, alpha = name.split()
+        surface = {"capped": capped_cone, "perturbed": perturbed_cone}[kind](float(alpha))
+        value, error, raw = self.RECORDED[name]
+        est = cone_mass(surface)
+        assert abs(est.value - value) <= 1e-12
+        assert abs(est.error - error) <= 1e-12
+        assert np.allclose(est.raw, raw, rtol=0.0, atol=1e-12)
+
     def test_perturbed_mass_unchanged(self):
         est = cone_mass(perturbed_cone(0.7, amplitude=0.1, tau=1.0),
                         radii=(8.0, 16.0, 32.0, 64.0))
@@ -237,9 +260,6 @@ class TestCartesianWrapper:
             assert spec.derivative_mode == "analytic"
             for k, (d, w) in enumerate(zip(metric_jet(spec, y, 2), want)):
                 assert np.abs(lam ** k * d - w).max() <= 1e-12 * np.abs(w).max()
-            back = metric_from_json(metric_to_json(spec))
-            assert all(np.array_equal(a, b) for a, b in
-                       zip(metric_jet(back, y, 2), metric_jet(spec, y, 2)))
 
 
 class TestConeExperiments:
@@ -262,6 +282,12 @@ class TestConeExperiments:
         assert rep.verdict
         assert rep.drop == 0.0
         assert all(d == 0.0 for d in rep.distances)
+
+    @pytest.mark.parametrize("kind", ["blow_up", "escaping"])
+    def test_large_index(self, kind):
+        # cone_mass at radii 4e6 .. 3.2e7 around a far-out window
+        rep = cone_semicontinuity_experiment(kind, alpha=0.7, indices=(10 ** 6,))
+        assert abs(rep.masses[0] - 0.30000000000000004) <= 1e-12
 
     def test_kinds(self):
         assert set(CONE_EXPERIMENT_KINDS) == {"blow_up", "escaping", "constant"}

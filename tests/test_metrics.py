@@ -461,6 +461,18 @@ class TestPositiveDefinite:
                 metric_jet(spec, np.array([2.0, 0.0]), order)
             assert metric_jet(spec, np.array([3.0, 0.0]), order)[0].shape == (2, 2)
 
+    def test_cone_rejects_f_negative(self):
+        from afmass.cone import ConicalSurface, cone_metric_spec
+
+        # f < 0 inside the circle r = 2, where g = I + s T is still positive
+        # definite: the profile is no surface of revolution there
+        surface = ConicalSurface(f=lambda r: r * (r - 2.0), df=lambda r: 2.0 * r - 2.0,
+                                 d2f=lambda r: 2.0 + 0.0 * r, alpha=1.0)
+        spec = cone_metric_spec(surface)
+        for order in (0, 1, 2):
+            with pytest.raises(NotPositiveDefinite, match="f <= 0"):
+                metric_jet(spec, np.array([[3.0, 0.0], [0.0, 1.0]]), order)
+
 
 class TestPointChecks:
     def test_singular_origin(self):
@@ -578,21 +590,13 @@ class TestJsonRoundTrip:
         assert np.allclose(metric_jet(spec, x, 0)[0], metric_jet(back, x, 0)[0], atol=1e-12)
 
     def test_cone(self):
+        # no command takes an n = 2 spec, so the cone has no document
         from afmass.cone import capped_cone, cone_metric_spec
 
-        x = np.array([[2.0, 1.0], [0.5, -0.3]])
-        for mode in ("analytic", "fd"):
-            spec = cone_metric_spec(capped_cone(0.7), derivative_mode=mode)
-            doc = metric_to_json(spec)
-            assert doc["derivative_mode"] == mode
-            back = metric_from_json(json.loads(json.dumps(doc)))
-            assert back.derivative_mode == mode
-            assert metric_to_json(back) == doc
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(metric_jet(spec, x), metric_jet(back, x)))
-        # a document without a mode takes the analytic default
-        del doc["derivative_mode"]
-        assert metric_from_json(doc).derivative_mode == "analytic"
+        with pytest.raises(NotImplementedError, match="Cone2D is not serializable"):
+            metric_to_json(cone_metric_spec(capped_cone(0.7)))
+        with pytest.raises(ValueError, match="unknown metric family 'Cone2D'"):
+            metric_from_json({"n": 2, "family": "Cone2D", "params": {"alpha": 0.7}})
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

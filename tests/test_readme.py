@@ -10,7 +10,8 @@ import re
 import pytest
 
 from afmass.cli import main
-from afmass.reports import read_json
+
+from report_files import read_json
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 

@@ -211,8 +211,9 @@ class TestAxialRoute:
         grid = translated(spec, np.zeros(3))
         assert matter_integral(spec, 2.0, 4.0, q=8, radial_q=8) == pytest.approx(
             matter_integral(grid, 2.0, 4.0, q=32, radial_q=8), rel=1e-12)
-        assert _volume_quadrature(spec, d_operator_at, 2.0, 4.0, 8, 8) == \
-            pytest.approx(_volume_quadrature(grid, d_operator_at, 2.0, 4.0, 32, 8),
+        edges = [2.0, 3.0, 4.0]
+        assert _volume_quadrature(spec, d_operator_at, edges, 8, 8) == \
+            pytest.approx(_volume_quadrature(grid, d_operator_at, edges, 32, 8),
                           rel=1e-12)
 
     @pytest.mark.parametrize("name,per_sphere", [

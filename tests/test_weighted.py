@@ -17,11 +17,11 @@ from afmass.shells import shell_mass, shell_metric
 from afmass.weighted import (
     DefectReport,
     WeightedNormParams,
+    _volume_quadrature,
     d_operator_at,
     mass_matter_defect,
     mass_via_divergence,
     matter_integral,
-    radial_panels,
     weighted_seminorm,
 )
 
@@ -201,6 +201,56 @@ class TestOneEvaluationPerBlock:
 
 
 def test_radial_panels_split_at_breakpoints():
-    panels = radial_panels(1.0, 10.0, breakpoints=(2.0, 5.0, 20.0))
-    assert panels == [(1.0, 2.0), (2.0, 5.0), (5.0, 10.0)]
-    assert radial_panels(1.0, 10.0) == [(1.0, 10.0)]
+    # the i = 2 shell has breakpoints 1 and 2: they cut the panels of every
+    # annulus they fall in, so the cumulative integrals at the edges are the
+    # separate annulus integrals added up, and naming the breakpoints as
+    # edges changes no panel
+    spec = shell_metric(3, 2)
+    assert spec.family.radial_breakpoints == (1.0, 2.0)
+    fn = weighted._scalar_density
+    cumulative = _volume_quadrature(spec, fn, [0.5, 1.5, 3.0, 8.0], 4, 32)
+    parts = [_volume_quadrature(spec, fn, [lo, hi], 4, 32)[0]
+             for lo, hi in ((0.5, 1.5), (1.5, 3.0), (3.0, 8.0))]
+    assert cumulative.shape == (3,)
+    assert np.allclose(cumulative, np.cumsum(parts), rtol=1e-14, atol=0.0)
+    named = _volume_quadrature(spec, fn, [0.5, 1.0, 1.5, 2.0, 3.0, 8.0], 4, 32)
+    assert np.allclose(named[[1, 3, 4]], cumulative, rtol=1e-14, atol=0.0)
+    # an annulus of zero width holds nothing
+    assert _volume_quadrature(spec, fn, [1.5, 1.5, 3.0], 4, 32)[0] == 0.0
+    assert matter_integral(spec, 3.0, 3.0) == 0.0
+
+
+def test_cumulative_integrals_match_the_per_annulus_sums():
+    # integrals of one annulus each, recorded from the quadrature that made
+    # one sampler pass per radial panel: d_operator_at on AS over 2-4, 4-8
+    # and 8-16 (q = 8, radial_q = 16), and R sqrt(det g) on the i = 2 shell
+    # over 1-3 (split at its breakpoint 2) and 3-8 (q = 4, radial_q = 32)
+    cases = [
+        (asymptotically_schwarzschild(3, 1.0, c=0.3), d_operator_at,
+         [2.0, 4.0, 8.0, 16.0], 8, 16,
+         [-27.100712591451114, -11.781838017515796, -5.462328477474937]),
+        (shell_metric(3, 2), weighted._scalar_density, [1.0, 3.0, 8.0], 4, 32,
+         [8.393130851844305, 1.7582873816978001e-15]),
+    ]
+    for spec, fn, edges, q, radial_q, annuli in cases:
+        got = _volume_quadrature(spec, fn, edges, q, radial_q)
+        want = np.cumsum(annuli)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: matter_integral(shell_metric(3, 2), 0.5, 8.0, q=4),
+    lambda: mass_via_divergence(asymptotically_schwarzschild(3, 1.0, c=0.3), q=4),
+], ids=["matter_integral", "mass_via_divergence"])
+def test_one_sampler_pass_per_volume_integral(monkeypatch, compute):
+    # mass_via_divergence's three annuli come from one pass
+    passes = []
+    sample = weighted.sample_spheres
+
+    def spy(*args, **kw):
+        passes.append(args[2])
+        return sample(*args, **kw)
+
+    monkeypatch.setattr(weighted, "sample_spheres", spy)
+    compute()
+    assert len(passes) == 1
