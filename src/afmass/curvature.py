@@ -5,11 +5,21 @@ derivatives (N, d, d, d) with dg[:, k, i, j] = d_k g_ij, and second
 derivatives (N, d, d, d, d) with d2g[:, k, l, i, j] = d_k d_l g_ij.
 fd_metric_derivatives returns dg and d2g in this layout as transposed views
 of direction-major buffers, (d, N, d, d) and (d, d, N, d, d); like every
-jet they are fresh arrays that the caller owns.  scalar_curvature is the
-one public entry point; metrics.metric_jet supplies its arguments.
+jet they are fresh arrays that the caller owns.  It calls the metric once
+at the stencil's centre and then on its 2 d^2 shifted copies of the points,
+stacked into calls of up to _ROWS rows (one copy a call once a copy alone
+has _ROWS rows), so the metric must act row by row.
+scalar_curvature is the one public entry point; metrics.metric_jet
+supplies its arguments.
 """
 
 import numpy as np
+
+# rows per call of the stencil's shifted evaluations (fd_metric_derivatives).
+# A Family.metric call has a fixed cost of 60-120 us, the cost of 130-630
+# rows, and its cost per row rises past a few thousand rows (AS at n = 5 and
+# a translated shell at n = 3, measured on a 2-core x86 host)
+_ROWS = 1024
 
 __all__ = [
     "scalar_curvature",
@@ -74,17 +84,26 @@ def scalar_curvature(g, dg, d2g):
 def fd_metric_derivatives(fn, x, h):
     """A matrix field with its finite-difference first and second derivatives.
 
-    fn maps (N, d) -> (N, d, d).  Returns (f0, dg, d2g): f0 = fn(x), the
-    stencil's centre, and the derivatives in the layout described in the
-    module docstring, from 3-point central stencils (second order in h) and
-    their composition for the mixed second derivatives.  h is one step or
-    one step per point (N,).
+    fn maps (N, d) -> (N, d, d) row by row: row i of its value depends on
+    row i of its argument alone, bit for bit, whatever the other rows are.
+    Returns (f0, dg, d2g): f0 = fn(x), the stencil's centre, and the
+    derivatives in the layout described in the module docstring, from
+    3-point central stencils (second order in h) and their composition for
+    the mixed second derivatives.  h is one step or one step per point (N,).
+
+    fn is called once at the centre, alone, and then on the 2 d^2 shifted
+    copies of x, in the order x + h e_k, x - h e_k (k = 0..d-1) and the
+    four x +- h e_k +- h e_l of each pair k < l, stacked G = max(1,
+    _ROWS // N) copies a call: one (G N, d) array in, one (G N, d, d)
+    array out.  Each copy's slice goes through the same
+    arithmetic in the same order whatever the block size, so the blocks
+    change no bit of the result, and a stencil of N >= _ROWS points makes
+    one call per copy.
 
     Each difference is written once into a contiguous direction-major buffer
     (dg_buf[k] = d_k g, d2g_buf[k, l] = d_k d_l g, each (N, d, d)); dg and
     d2g are transposed views of these buffers, fresh arrays that the caller
-    owns.  fn is called at the centre, the d points x + h e_k, the d points
-    x - h e_k and then four points per pair k < l, in that order.
+    owns.
     """
     x = np.asarray(x, dtype=float)
     N, d = x.shape
@@ -98,35 +117,43 @@ def fd_metric_derivatives(fn, x, h):
     two_f0 = 2.0 * f0
     dg_buf = np.empty((d, N, d, d))
     d2g_buf = np.empty((d, d, N, d, d))
-    y = x.copy()
-
-    def shifted(*steps):
-        """fn at x moved by a h along axis k for each (k, a) in steps,
-        through the one buffer y, which is then reset to x."""
-        for k, a in steps:
-            y[:, k] = x[:, k] + a * h
-        f = fn(y)
-        for k, _ in steps:
-            y[:, k] = x[:, k]
-        return f
-
-    # fn(x + h e_k) waits in d2g_buf[k, k] until fn(x - h e_k) is known
-    for k in range(d):
-        d2g_buf[k, k] = shifted((k, 1.0))
-    for k in range(d):
-        plus, minus = d2g_buf[k, k], shifted((k, -1.0))
-        np.subtract(plus, minus, out=dg_buf[k])
-        dg_buf[k] /= two_h
-        plus -= two_f0
-        plus += minus
-        plus /= h_sq
-    for k in range(d):
-        for m in range(k + 1, d):
-            mixed = d2g_buf[k, m]
-            np.subtract(shifted((k, 1.0), (m, 1.0)), shifted((k, 1.0), (m, -1.0)),
-                        out=mixed)
-            mixed -= shifted((k, -1.0), (m, 1.0))
-            mixed += shifted((k, -1.0), (m, -1.0))
-            mixed /= four_h_sq
-            d2g_buf[m, k] = mixed
+    # each shift is ((k, a),) or ((k, a), (m, b)): x moved by a h along k
+    # (and b h along m)
+    shifts = [((k, a),) for a in (1.0, -1.0) for k in range(d)] + [
+        ((k, a), (m, b)) for k in range(d) for m in range(k + 1, d)
+        for a in (1.0, -1.0) for b in (1.0, -1.0)
+    ]
+    per_call = max(1, _ROWS // max(N, 1))
+    y = np.empty((min(per_call, len(shifts)), N, d))
+    for start in range(0, len(shifts), per_call):
+        block = shifts[start:start + per_call]
+        ys = y[:len(block)]
+        ys[...] = x
+        for yi, steps in zip(ys, block):
+            for k, a in steps:
+                yi[:, k] = x[:, k] + a * h
+        values = fn(ys.reshape(-1, d)).reshape(len(block), N, d, d)
+        for f, ((k, a), *other) in zip(values, block):
+            if other:
+                # d2g_buf[k, m] = (f(++) - f(+-) - f(-+) + f(--)) / (4 h^2)
+                (m, b), = other
+                mixed = d2g_buf[k, m]
+                if a > 0.0 and b > 0.0:
+                    mixed[...] = f
+                elif a > 0.0 or b > 0.0:
+                    mixed -= f
+                else:
+                    mixed += f
+                    mixed /= four_h_sq
+                    d2g_buf[m, k] = mixed
+            elif a > 0.0:
+                # fn(x + h e_k) waits in d2g_buf[k, k] until fn(x - h e_k) is known
+                d2g_buf[k, k] = f
+            else:
+                plus = d2g_buf[k, k]
+                np.subtract(plus, f, out=dg_buf[k])
+                dg_buf[k] /= two_h
+                plus -= two_f0
+                plus += f
+                plus /= h_sq
     return f0, dg_buf.transpose(1, 0, 2, 3), d2g_buf.transpose(2, 0, 1, 3, 4)

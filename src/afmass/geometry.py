@@ -268,11 +268,26 @@ def sample_spheres(n, q, radii, symmetry, entries_per_node, radial_weights=None)
     `entries_per_node` is the number of floats the caller's integrand
     holds per node (n^3 for dg, n^4 for d2g); each block has at most
     BLOCK_ENTRIES // entries_per_node nodes.
+
+    Raises OverflowError, before the first block, where a weight could
+    overflow: where r^{n-1} |radial weight| times the angle box's volume
+    2 pi^{n-1}, a bound on every node's angular weight, does not fit a
+    float (past r ~ 1e308^{1/(n-1)}), whatever the warnings filter.
     """
     radii = np.asarray(radii, dtype=float).reshape(-1)
+    # in Python floats the bound reaches inf without a numpy warning
+    bound = 2.0 * math.pi ** (n - 1) * math.prod(
+        [float(np.abs(radii).max(initial=0.0))] * (n - 1))
+    if radial_weights is not None:
+        radial_weights = np.asarray(radial_weights, dtype=float)
+        bound *= float(np.abs(radial_weights).max(initial=0.0))
+    if not math.isfinite(bound):
+        raise OverflowError(
+            f"sphere weights r^{n - 1} overflow: radii up to {np.abs(radii).max():g}"
+        )
     scale = radii ** (n - 1)
     if radial_weights is not None:
-        scale = scale * np.asarray(radial_weights, dtype=float)
+        scale = scale * radial_weights
     if symmetry is True:
         u_all, w_all = _one_node(n, q)
         per_sphere = 1

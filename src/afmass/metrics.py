@@ -276,7 +276,9 @@ class Family:
         raise NotImplementedError(f"{self.name} has no jet")
 
     def metric(self, x):
-        """g at the points x: jet(x, 0)[0], what finite differences evaluate."""
+        """g at the points x: jet(x, 0)[0], what finite differences evaluate.
+        Row i of g depends on row i of x alone (the fd stencil stacks
+        shifted copies of the points into one call)."""
         return self.jet(x, 0)[0]
 
     def mass_vector(self, x, order):

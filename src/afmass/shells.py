@@ -23,6 +23,7 @@ the integrands s^{n-1} rho and s rho have degree at most n + 5 and the rule
 integrates them exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,13 @@ def _charge_function(n, density, i):
     int_a^b s^p rho_i(s) ds with one 16-node panel per pair of bounds (a and
     b broadcast against each other).  Inside the support the default rho_i
     is a polynomial of degree 6, so the panels of s^{n-1} rho_i and s rho_i
-    (degree <= n + 5) are exact."""
+    (degree <= n + 5) are exact.  Raises OverflowError where s^{n-1}
+    overflows on the support, whatever the warnings filter."""
     lo, hi = i * density.lo, i * density.hi
+    # s^p rho_i (p = 1 or n - 1) is largest near hi; in Python floats the
+    # power reaches inf without a numpy warning
+    if not math.isfinite(math.prod([float(hi)] * (n - 1))):
+        raise OverflowError(f"shell i = {i:g}: s^{n - 1} overflows on its support")
 
     def panel(a, b, p):
         a = np.asarray(a, dtype=float)

@@ -57,14 +57,6 @@ class SphereReport:
     rho_max: float
     q: int
 
-    def csv_row(self):
-        return [
-            self.r, self.area, self.H_min, self.H_max,
-            self.maxH2, self.rho_min, self.rho_max, self.q,
-        ]
-
-    csv_columns = ("r", "area", "H_min", "H_max", "maxH2", "rho_min", "rho_max", "q")
-
 
 # ---------------------------------------------------------------------------
 # closed conformal formulas (radial U, constant on each sphere)

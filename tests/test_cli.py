@@ -386,6 +386,16 @@ OVERFLOWING_DOCS = {
         "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
                  "params": {"m": 1.0, "c": 1e300}},
     }, "FitIllConditioned"),
+    # r^{n-1} of the last sphere's weight overflows
+    "adm-mass-radius": ({
+        "command": "adm-mass", "q": 4, "radii": [20.0, 40.0, 80.0, 1e300],
+        "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
+                 "params": {"m": 1.0, "c": 0.1}},
+    }, "OverflowError"),
+    # s^{n-1} overflows on the shell's support
+    "weighted-mass-index": ({
+        "command": "weighted-mass", "n": 3, "indices": [1e300, 2], "q": 4,
+    }, "OverflowError"),
     # c B itself overflows: the family is never built
     **{f"{command}-{mode}-direction": ({
         "command": command, "q": 4, "radii": [20.0, 40.0, 80.0, 160.0],

@@ -9,12 +9,15 @@ from afmass.curvature import (
     fd_metric_derivatives,
     scalar_curvature,
 )
-from afmass.cone import cone_metric_spec, perturbed_cone
+from afmass.cone import capped_cone, cone_metric_spec, perturbed_cone
 from afmass.metrics import (
     _fd_steps,
     asymptotically_schwarzschild,
+    conformally_flat,
+    harmonic_dipole_field,
     metric_derivatives_at,
     metric_jet,
+    scaled,
     translated,
 )
 from afmass.shells import shell_metric
@@ -128,14 +131,24 @@ def test_ricci_matches_christoffel_derivative_reference(n):
 
 def _stencil_spec(kind, n):
     """An fd spec of the given kind: "no-axis" is AS with a direction that
-    has no axis, "translated" a shell moved off the origin; at n = 2, where
-    neither family exists, the perturbed cone and the moved cone."""
+    has no axis, "translated" a shell moved off the origin, "dipole" the
+    harmonic dipole and "scaled" a scaled AS; at n = 2, where none of them
+    exists, the perturbed, moved, capped and scaled cones."""
     if kind == "no-axis":
         if n == 2:
             return cone_metric_spec(perturbed_cone(0.6), derivative_mode="fd")
         direction = np.diag(np.arange(n) - 0.5 * (n - 1))
         return asymptotically_schwarzschild(n, 1.3, c=0.4, direction=direction,
                                             derivative_mode="fd")
+    if kind == "dipole":
+        if n == 2:
+            return cone_metric_spec(capped_cone(0.7), derivative_mode="fd")
+        return conformally_flat(n, harmonic_dipole_field(n, 0.5, 0.3),
+                                derivative_mode="fd")
+    if kind == "scaled":
+        base = (cone_metric_spec(perturbed_cone(0.6)) if n == 2
+                else asymptotically_schwarzschild(n, 1.3, c=0.4))
+        return scaled(base, 0.7, derivative_mode="fd")
     base = (cone_metric_spec(perturbed_cone(0.6)) if n == 2
             else shell_metric(n, 2))
     offset = np.linspace(0.5, 1.5, n)
@@ -149,12 +162,14 @@ def _recording(fn, calls):
     return record
 
 
-@pytest.mark.parametrize("kind", ["no-axis", "translated"])
+@pytest.mark.parametrize("kind", ["no-axis", "translated", "dipole", "scaled"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("per_point", [False, True])
 def test_fd_stencil_is_bitwise_the_reference(kind, n, per_point):
-    # the stencil writes into direction-major buffers; the reference loop
-    # allocates every difference afresh.  Same evaluations, same arithmetic
+    # the stencil stacks its shifted copies into few calls and writes into
+    # direction-major buffers; the reference loop makes one call per copy
+    # and allocates every difference afresh.  Same rows in the same order,
+    # same arithmetic
     spec = _stencil_spec(kind, n)
     rng = np.random.default_rng(n)
     x = rng.uniform(3.0, 12.0, size=(24, n)) * rng.choice([-1.0, 1.0], size=(24, n))
@@ -162,8 +177,8 @@ def test_fd_stencil_is_bitwise_the_reference(kind, n, per_point):
     calls, ref_calls = [], []
     f0, dg, d2g = fd_metric_derivatives(_recording(spec.family.metric, calls), x, h)
     ref = fd2_metric_derivatives(_recording(spec.family.metric, ref_calls), x, h)
-    assert len(calls) == len(ref_calls) == 1 + 2 * n * n
-    assert all(np.array_equal(a, b) for a, b in zip(calls, ref_calls))
+    assert len(ref_calls) == 1 + 2 * n * n
+    assert np.array_equal(np.concatenate(calls), np.concatenate(ref_calls))
     for got, want in zip((f0, dg, d2g), ref):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -178,6 +193,20 @@ def test_fd_stencil_is_bitwise_the_reference(kind, n, per_point):
     f0_before, d2g_before = f0.copy(), d2g.copy()
     dg += 1.0
     assert np.array_equal(f0, f0_before) and np.array_equal(d2g, d2g_before)
+
+
+@pytest.mark.parametrize("N,calls", [(16, 2), (1024, 1 + 2 * 3 * 3), (1500, 1 + 2 * 3 * 3)])
+def test_fd_stencil_stacks_small_point_sets(N, calls):
+    # the centre alone, then the 18 shifted copies of an n = 3 stencil in as
+    # few calls as fit 1024 rows: all of them for 16 points, one per call
+    # once a copy alone has 1024 rows
+    spec = asymptotically_schwarzschild(3, 1.0, derivative_mode="fd")
+    x = np.random.default_rng(3).uniform(2.0, 20.0, size=(N, 3))
+    seen = []
+    fd_metric_derivatives(_recording(spec.family.metric, seen), x, 1e-3)
+    assert len(seen) == calls
+    assert seen[0].shape == (N, 3)
+    assert sum(len(y) for y in seen) == (1 + 2 * 3 * 3) * N
 
 
 @pytest.mark.parametrize("order,bound_mib", [(1, 80), (2, 140)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,18 @@ def test_symmetric_sample_is_one_node_per_radius():
     assert np.allclose(
         w, np.arange(1.0, 6.0) * unit_sphere_area(4) * radii ** 3, rtol=1e-14
     )
+
+
+@pytest.mark.parametrize("symmetry", [True, np.array([1.0, 0.0, 0.0]), False],
+                         ids=["one-node", "meridian", "grid"])
+def test_overflowing_weight_is_one_error(symmetry):
+    # r^2 overflows at r = 1e200: OverflowError before the first block is
+    # handed out, whatever the warnings filter
+    blocks = sample_spheres(3, 4, [10.0, 1e200], symmetry, 3 ** 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="radii up to 1e\\+200"):
+            next(blocks)
 
 
 def _sphere_moment(n, k):

@@ -283,13 +283,6 @@ class TestSphereReport:
                       40.0, q=12)
         assert calls == {"blocks": 4, "christoffel": 4}
 
-    def test_csv_row_layout(self):
-        rep = sphere_report(schwarzschild(3, 1.0), 10.0, q=8)
-        row = rep.csv_row()
-        assert len(row) == len(rep.csv_columns) == 8
-        assert row[0] == 10.0
-        assert row[-1] == 8
-
 
 class TestConformalClosedForms:
     def test_flat_limits(self):

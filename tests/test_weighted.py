@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from afmass import weighted
+from afmass.cone import capped_cone, cone_metric_spec
 from afmass.curvature import scalar_curvature
 from afmass.geometry import sample_spheres
 from afmass.mass import adm_mass
@@ -218,6 +221,21 @@ def test_radial_panels_split_at_breakpoints():
     # an annulus of zero width holds nothing
     assert _volume_quadrature(spec, fn, [1.5, 1.5, 3.0], 4, 32)[0] == 0.0
     assert matter_integral(spec, 3.0, 3.0) == 0.0
+
+
+def test_far_nodes_keep_their_panels():
+    # past |x| ~ 1.3e154 the squares of |x| overflow; the panel a node
+    # falls in must not, so int 1/|x| over the annuli of R^2 is
+    # 2 pi (e - edges[0]) at every later edge e
+    edges = np.array([1e155, 1.0001e155, 1.0003e155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _volume_quadrature(
+            euclidean(2), lambda spec, x: 1.0 / np.hypot.reduce(x, axis=1), edges, 4)
+        # there the weight r dr of a wider annulus overflows: one error
+        with pytest.raises(OverflowError):
+            matter_integral(cone_metric_spec(capped_cone(0.7)), 1e160, 2e160)
+    assert got == pytest.approx(2.0 * np.pi * (edges[1:] - edges[0]), rel=1e-12)
 
 
 def test_cumulative_integrals_match_the_per_annulus_sums():
