@@ -68,7 +68,14 @@ class WindowSample:
 def window_grid(n, half_width=1.0, q=4):
     """Uniform q^n grid on the box [-half_width, half_width]^n.
 
-    Node offsets avoid the exact center (no node at the origin for even q)."""
+    Node offsets avoid the exact center (no node at the origin for even q).
+    Raises OverflowError where the squared half-diagonal n half_width^2,
+    which a metric evaluation at a corner takes as |x|^2, does not fit a
+    float, whatever the warnings filter."""
+    # in Python floats the product reaches inf without a numpy warning
+    if not math.isfinite(n * float(half_width) * float(half_width)):
+        raise OverflowError(
+            f"window half-width {half_width:g}: |x|^2 overflows at its corners")
     axis = np.linspace(-half_width, half_width, q) if q > 1 else np.array([0.0])
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

@@ -20,7 +20,10 @@ Radial ODE facts used throughout (Q(r) = int_0^r s^{n-1} rho(s) ds):
 Every radial integral runs on one 16-node Gauss-Legendre rule, exact to
 degree 31.  On the support the default rho is a polynomial of degree 6, so
 the integrands s^{n-1} rho and s rho have degree at most n + 5 and the rule
-integrates them exactly.
+integrates them exactly.  The panels run only on the radii strictly inside
+the support: in the cavity and past it Q and int_r^inf s rho_i(s) ds are
+the constants 0, Q(infinity) and their values at the support's ends,
+computed once per profile, and rho_i is 0.
 """
 
 import math
@@ -80,17 +83,32 @@ def default_shell_density(n):
     return ShellDensity(rho=rho, lo=_SUPPORT[0], hi=_SUPPORT[1])
 
 
-def _charge_function(n, density, i):
-    """Q_i(r) = int_0^r s^{n-1} rho_i(s) ds, one Gauss panel per radius.
+def _on_support(r, lo, hi, below, above, inside):
+    """below at the radii r <= lo, above at r >= hi, and inside(t) at the
+    radii t strictly between (and at NaN), evaluated on those rows alone."""
+    r = np.asarray(r, dtype=float)
+    cavity = r <= lo
+    out = np.where(cavity, below, above)
+    mid = ~(cavity | (r >= hi))
+    if mid.any():
+        out[mid] = inside(r[mid])
+    return out
 
-    rho_i(s) = i^{-n} rho(s / i) is supported in [i*lo, i*hi]; Q_i is 0
-    before the support and constant after it, so each panel runs over
-    [lo, clip(r, lo, hi)].  Returns Q, the limiting value
-    Q_i(inf) = total / omega_{n-1}, and panel(a, b, p): the sums
-    int_a^b s^p rho_i(s) ds with one 16-node panel per pair of bounds (a and
-    b broadcast against each other).  Inside the support the default rho_i
-    is a polynomial of degree 6, so the panels of s^{n-1} rho_i and s rho_i
-    (degree <= n + 5) are exact.  Raises OverflowError where s^{n-1}
+
+def _charge_function(n, density, i):
+    """Q_i(r) = int_0^r s^{n-1} rho_i(s) ds and T_i(r) = int_t^hi s rho_i(s) ds
+    with t = clip(r, lo, hi), one Gauss panel per radius inside the support.
+
+    rho_i(s) = i^{-n} rho(s / i) is supported in [lo, hi] = i [lo, hi] of the
+    density, so Q_i reads 0 for r <= lo and Q_i(inf) = total / omega_{n-1}
+    for r >= hi, and T_i reads T_i(lo) for r <= lo and 0 for r >= hi; both
+    constants are one panel each, per profile.  Only the radii strictly
+    inside the support run a 16-node panel, over [lo, r] for Q_i and [r, hi]
+    for T_i, and each panel is summed on its own (one dot per row), so a
+    radius reads the same value whatever other radii share its call.
+    Inside the support the default rho_i is a polynomial of degree 6, so the
+    panels of s^{n-1} rho_i and s rho_i (degree <= n + 5) are exact.
+    Returns Q, Q_i(inf) and T.  Raises OverflowError where s^{n-1}
     overflows on the support, whatever the warnings filter."""
     lo, hi = i * density.lo, i * density.hi
     # s^p rho_i (p = 1 or n - 1) is largest near hi; in Python floats the
@@ -99,15 +117,25 @@ def _charge_function(n, density, i):
         raise OverflowError(f"shell i = {i:g}: s^{n - 1} overflows on its support")
 
     def panel(a, b, p):
+        # int_a^b s^p rho_i(s) ds, one 16-node panel per pair of bounds; a
+        # (1, 16) @ (16, 1) product per row is one dot product each, where
+        # one (N, 16) @ (16,) product would sum a row by its place in a block
         a = np.asarray(a, dtype=float)
         half = np.asarray(0.5 * (b - a))
         s = half[..., None] * (_XG + 1.0) + a[..., None]
-        return half * ((s ** p * i ** (-n) * density.rho(s / i)) @ _WG)
+        f = s ** p * i ** (-n) * density.rho(s / i)
+        return half * (f[..., None, :] @ _WG[:, None])[..., 0, 0]
+
+    q_inf = float(panel(lo, hi, n - 1))
+    t_lo = float(panel(lo, hi, 1))
 
     def Q(r):
-        return panel(lo, np.clip(np.asarray(r, dtype=float), lo, hi), n - 1)
+        return _on_support(r, lo, hi, 0.0, q_inf, lambda t: panel(lo, t, n - 1))
 
-    return Q, float(Q(hi)), panel
+    def T(r):
+        return _on_support(r, lo, hi, t_lo, 0.0, lambda t: panel(t, hi, 1))
+
+    return Q, q_inf, T
 
 
 def solve_shell_potential(n, i):
@@ -116,24 +144,24 @@ def solve_shell_potential(n, i):
     Newton's shell theorem: integrating v(r) = int_r^inf s^{1-n} Q(s) ds by
     parts gives
 
-        v(r) = (r^{2-n} Q(r) + int_r^inf s rho_i(s) ds) / (n - 2),
+        v(r) = (r^{2-n} Q(r) + T(r)) / (n - 2),  T(r) = int_r^inf s rho_i(s) ds,
 
-    two exact 16-node panels per radius, over [lo, t] and [t, hi] with
-    t = clip(r, lo, hi).  Past the support this is the exact power tail
-    Q_inf r^{2-n} / (n-2); inside the cavity Q = 0 and v is constant, and
-    max(r, lo) in place of r keeps 0 * inf out of it (also in v' and v'').
-    v >= 0 for the nonnegative density, so u = 1 + v >= 1."""
+    with Q and T from _charge_function: a panel each inside the support, a
+    constant in the cavity and past the support.  Past the support this is
+    the exact power tail Q_inf r^{2-n} / (n-2); inside the cavity Q = 0 and
+    v is constant, and max(r, lo) in place of r keeps 0 * inf out of it
+    (also in v' and v'').  rho_i in v'' is 0 off the support and evaluated
+    only on it.  v >= 0 for the nonnegative density, so u = 1 + v >= 1."""
     if n < 3:
         raise ValueError("need n >= 3 for a decaying potential")
     density = default_shell_density(n)
     lo, hi = i * density.lo, i * density.hi
-    Q, q_inf, panel = _charge_function(n, density, i)
+    Q, q_inf, T = _charge_function(n, density, i)
     tail = q_inf / (n - 2)
 
     def v(r):
         r = np.asarray(r, dtype=float)
-        return (np.maximum(r, lo) ** (2 - n) * Q(r)
-                + panel(np.clip(r, lo, hi), hi, 1)) / (n - 2)
+        return (np.maximum(r, lo) ** (2 - n) * Q(r) + T(r)) / (n - 2)
 
     def dv(r):
         r = np.asarray(r, dtype=float)
@@ -141,7 +169,8 @@ def solve_shell_potential(n, i):
 
     def d2v(r):
         r = np.asarray(r, dtype=float)
-        rho_vals = i ** (-n) * density.rho(r / i)
+        rho_vals = _on_support(
+            r, lo, hi, 0.0, 0.0, lambda t: i ** (-n) * density.rho(t / i))
         return (n - 1) * np.maximum(r, lo) ** (-n) * Q(r) - rho_vals
 
     return RadialProfile(

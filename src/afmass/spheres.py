@@ -95,10 +95,19 @@ def _symmetry(spec):
 
 
 def _closed_form(spec, r):
-    """(U(r), U'(r)) when the closed conformal formulas apply, else None."""
+    """(U(r), U'(r)) when the closed conformal formulas apply, else None.
+
+    Raises OverflowError, before U is evaluated, where the flat area factor
+    r^{n-1} or its inverse does not fit a float (the formulas scale with
+    r^{n-1} and with powers of 1/r), whatever the warnings filter."""
     profile = spec.family.radial_profile
     if profile is None or spec.n < 3:
         return None
+    # in Python floats the power reaches 0 or inf without a numpy warning
+    power = math.prod([float(r)] * (spec.n - 1))
+    if not (0.0 < power < math.inf and 1.0 / power < math.inf):
+        raise OverflowError(
+            f"sphere r = {r:g}: r^{spec.n - 1} = {power:g} leaves the float range")
     rr = np.array([float(r)])
     return float(profile.positive_u(rr)[0]), float(profile.du(rr)[0])
 

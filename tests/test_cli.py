@@ -276,10 +276,8 @@ class TestComputationFailure:
         err = load_strict(out / "error.json")["result"]
         assert err["error"] == "NonPositiveConformalFactor"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:divide by zero:RuntimeWarning")
     def test_overflow_exit_1(self, tmp_path):
-        # the closed-form area U^4 r^2 overflows a float at r = 1e-300
+        # r^2 of the closed-form area leaves the float range at r = 1e-300
         cfg = write_config(tmp_path, {
             "command": "fg-profile",
             "spec": SCHWARZSCHILD_N3,
@@ -395,6 +393,21 @@ OVERFLOWING_DOCS = {
     # s^{n-1} overflows on the shell's support
     "weighted-mass-index": ({
         "command": "weighted-mass", "n": 3, "indices": [1e300, 2], "q": 4,
+    }, "OverflowError"),
+    # r^{n-1} of the first sphere underflows, and U' would divide by r^2 = 0
+    "fg-profile-small-radius": ({
+        "command": "fg-profile", "q": 4, "radii": [1e-300, 40.0, 80.0, 160.0],
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1.0}},
+    }, "OverflowError"),
+    # r^{n-1} of the last sphere overflows
+    "fg-profile-large-radius": ({
+        "command": "fg-profile", "q": 4, "radii": [20.0, 40.0, 80.0, 1e300],
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1.0}},
+    }, "OverflowError"),
+    # |x|^2 of the window's corners overflows in the metric's norm
+    "sequence-window": ({
+        "command": "sequence", "q": 4, "kind": "blow_up", "n": 3,
+        "indices": [2, 4], "resolution": 2, "window_L": 1e300,
     }, "OverflowError"),
     # c B itself overflows: the family is never built
     **{f"{command}-{mode}-direction": ({

@@ -11,8 +11,10 @@ import afmass
 from afmass.geometry import unit_sphere_area
 from afmass.mass import adm_mass
 from afmass.curvature import scalar_curvature
+from afmass import shells
 from afmass.metrics import metric_derivatives_at, metric_jet
 from afmass.shells import (
+    ShellDensity,
     _charge_function,
     default_shell_density,
     shell_mass,
@@ -213,6 +215,61 @@ class TestNewtonRoute:
         expected = 1.0 / unit_sphere_area(n)
         assert q_inf == pytest.approx(expected, rel=1e-13)
         np.testing.assert_allclose(Q(i * np.array([1.0, 2.0, 50.0])), expected, rtol=1e-13)
+
+
+class TestSupportRows:
+    """Panels run only on the radii strictly inside the support."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("i", [1, 2, 8])
+    def test_rows_do_not_depend_on_their_call(self, n, i):
+        # cavity, lo, support, hi and exterior radii, interleaved
+        dens = default_shell_density(n)
+        r = np.random.default_rng(n * i).permutation(_shell_radii(n, i))
+        prof = solve_shell_potential(n, i)
+        ref = reference_potential(n, i, dens)
+        for name, ref_f in zip(("u", "du", "d2u"), ref):
+            f = getattr(prof, name)
+            whole = f(r)
+            rows = np.concatenate([f(r[k:k + 1]) for k in range(r.size)])
+            assert np.array_equal(whole, rows), name
+            expected = ref_f(r)
+            # d2u cancels inside the support: compare at its largest scale
+            atol = 1e-13 * np.abs(expected).max() if name == "d2u" else 0.0
+            np.testing.assert_allclose(whole, expected, rtol=1e-13, atol=atol)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_no_quadrature_off_the_support(self, monkeypatch, n):
+        nodes = []
+        density = shells.default_shell_density
+
+        def spied(n):
+            dens = density(n)
+
+            def rho(s):
+                nodes.append(np.size(s))
+                return dens.rho(s)
+
+            return ShellDensity(rho=rho, lo=dens.lo, hi=dens.hi)
+
+        monkeypatch.setattr(shells, "default_shell_density", spied)
+        i = 2
+        lo, hi = i * shells._SUPPORT[0], i * shells._SUPPORT[1]
+        spec = shell_metric(n, i)
+        # Q(inf) and T(lo): one panel each, once per profile
+        assert nodes == [16, 16]
+        e = np.eye(n)
+        # the cavity, lo, hi and past the support, on every axis
+        x = np.concatenate([
+            r * e for r in (1e-3, 0.3 * lo, lo, hi, 1.25 * hi, 20.0 * hi)
+        ])
+        nodes.clear()
+        metric_jet(spec, x, 2)
+        assert nodes == []
+        # a point inside the support runs its panels: Q (three times, once
+        # per order), T and rho_i in v''
+        metric_jet(spec, 0.75 * i * e[:1], 2)
+        assert sum(nodes) > 0 and set(nodes) <= {1, 16}
 
 
 def test_cli_import_loads_no_scipy():
