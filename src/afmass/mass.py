@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import sample_spheres, unit_sphere_area
 from .metrics import GeometryError, mass_vector
-from .spheres import _closed_form, _symmetry, sphere_report
+from .spheres import _symmetry, sphere_report
 
 __all__ = [
     "FitIllConditioned",
@@ -169,6 +169,9 @@ def fg_detail(spec, r, q=32, report=None):
 
     Raises ZeroRhoMin when the minimal induced scalar curvature is <= 0;
     that happens only outside the regime where the functional is meaningful.
+    A given report stands in for sphere_report(spec, r, q); the bracket
+    takes its closed conformal form (U, U'), so the profile is evaluated
+    once per sphere.
     """
     n = spec.n
     if n < 3:
@@ -178,7 +181,7 @@ def fg_detail(spec, r, q=32, report=None):
     if report.rho_min <= 0.0:
         raise ZeroRhoMin(f"min induced scalar curvature {report.rho_min} <= 0 at r={r}")
     ratio = (n - 2.0) / (n - 1.0)
-    bracket = _bracket(spec, r, report)
+    bracket = _bracket(n, report)
     value = 0.5 * (report.area / unit_sphere_area(n)) ** ratio * bracket
     return {
         "fg": value,
@@ -194,19 +197,19 @@ def fg_detail(spec, r, q=32, report=None):
     }
 
 
-def _bracket(spec, r, report):
+def _bracket(n, report):
     """The factor 1 - ((n-2)/(n-1)) maxH2 / rho_min of fg(S_r), for
     rho_min > 0; it is positive exactly when the hypothesis
-    rho_min > ((n-2)/(n-1)) maxH2 of the inequality fg <= m holds."""
-    n = spec.n
-    closed = _closed_form(spec, r)
+    rho_min > ((n-2)/(n-1)) maxH2 of the inequality fg <= m holds.  A
+    report of the closed conformal forms lends it their (U, U')."""
+    closed = report.closed_form
     if closed is not None:
         # closed conformal forms give maxH2/rho_min = (1 + s)^2 with
         # s = 2 r U'/((n-2) U); expanding 1 - (1+s)^2 avoids the large-r
         # cancellation that otherwise grows like eps * r^{n-2}, and a
         # sphere in a flat cavity (U' = 0) gets exactly 0
         u, du = closed
-        s = 2.0 * r * du / ((n - 2.0) * u)
+        s = 2.0 * report.r * du / ((n - 2.0) * u)
         return -s * (2.0 + s)
     return 1.0 - (n - 2.0) / (n - 1.0) * report.maxH2 / report.rho_min
 
@@ -228,7 +231,7 @@ def penrose_like_check(spec, r, q=32):
     n = spec.n
     report = sphere_report(spec, r, q=q)
     ratio = (n - 2.0) / (n - 1.0)
-    hypothesis = report.rho_min > 0.0 and _bracket(spec, r, report) > 0.0
+    hypothesis = report.rho_min > 0.0 and _bracket(n, report) > 0.0
     mass = spec.family.mass_hint
     if mass is None:
         mass = adm_mass(spec, q=q).value

@@ -3,8 +3,9 @@
 Each metric family evaluates the matrix g_ij(x) and its first and second
 coordinate derivatives in closed form, batched over points, in one `jet`.
 The flux functionals take the mass vector V_j = d_i g_ij - d_j g_ii
-(mass_vector), which a family with a closed form writes without the jet.
-Specs are immutable; evaluation is pure.
+(mass_vector), and the matter integral the scalar-curvature density
+R sqrt(det g) (Family.scalar_density); a family with a closed form writes
+each without the dense jet.  Specs are immutable; evaluation is pure.
 
 Conformally flat metrics g = U^{4/(n-2)} delta are the workhorse, all of
 them one ConformalFamily: the Schwarzschild metric uses U = 1 + m/(2 r^{n-2}),
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import fd_metric_derivatives
+from .curvature import fd_metric_derivatives, scalar_curvature
 
 EPS = np.finfo(float).eps
 
@@ -85,17 +86,33 @@ def _as_points(x, n):
 class RadialProfile:
     """A radial conformal factor U(r) with two derivatives.
 
-    Subclasses (or instances built from callables) supply u, du, d2u; the
-    optional tail coefficient `a` declares U = 1 + a r^{2-n} + ... at
-    infinity, which fixes the ADM mass 2a of the conformal metric.
+    Subclasses (or instances built from callables) supply u, du, d2u, and
+    optionally `jet`, a callable (r, order) -> [U, U', U''][:order + 1]
+    that shares work between the orders and equals the three callables bit
+    for bit; the optional tail coefficient `a` declares U = 1 + a r^{2-n}
+    + ... at infinity, which fixes the ADM mass 2a of the conformal metric.
     """
 
-    def __init__(self, u, du, d2u, tail_coefficient=None, name="custom"):
+    def __init__(self, u, du, d2u, tail_coefficient=None, name="custom",
+                 jet=None):
         self.u = u
         self.du = du
         self.d2u = d2u
         self.tail_coefficient = tail_coefficient
         self.name = name
+        self._jet = jet
+
+    def jet(self, r, order):
+        """[U, U', U''][:order + 1] at the radii r (an array): the profile's
+        jet callable, else u, du and d2u called once each."""
+        if self._jet is not None:
+            return self._jet(r, order)
+        out = [self.u(r)]
+        if order >= 1:
+            out.append(self.du(r))
+        if order == 2:
+            out.append(self.d2u(r))
+        return out
 
     def positive_u(self, r):
         """U at the radii r (an array); NonPositiveConformalFactor where
@@ -145,7 +162,7 @@ class RadialField:
     """The field x -> U(|x|) of a RadialProfile, by the chain rule:
     grad U = u'(r) nu and Hess U = u'' nu nu + (u'/r)(I - nu nu), nu = x/r.
 
-    Its jet, as ScalarField.jet, evaluates u, u' and u'' once each."""
+    Its jet, as ScalarField.jet, makes one call of the profile's jet."""
 
     def __init__(self, profile):
         self.profile = profile
@@ -153,15 +170,16 @@ class RadialField:
 
     def jet(self, x, order):
         r = np.linalg.norm(x, axis=1)
-        out = [self.profile.u(r)]
+        radial = self.profile.jet(r, order)
+        out = [radial[0]]
         if order >= 1:
             nu = x / r[:, None]
-            du = self.profile.du(r)
+            du = radial[1]
             out.append(du[:, None] * nu)
         if order == 2:
             nn = np.einsum("nk,nl->nkl", nu, nu)
             out.append(
-                self.profile.d2u(r)[:, None, None] * nn
+                radial[2][:, None, None] * nn
                 + (du / r)[:, None, None] * (np.eye(x.shape[1])[None] - nn)
             )
         return out
@@ -218,6 +236,15 @@ def _trace_mass_vector(derivs):
         out.append(
             np.einsum("nijij->n", derivs[1]) - np.einsum("njjii->n", derivs[1]))
     return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _jet_scalar_density(g, dg, d2g):
+    """R sqrt(det g) from a jet, through the Ricci contraction of
+    curvature.scalar_curvature.  det g of a huge but finite metric
+    overflows: the non-finite integral then fails the fit, whatever the
+    warnings filter."""
+    return scalar_curvature(g, dg, d2g) * np.sqrt(np.linalg.det(g))
 
 
 def _conformal_mass_vector(n, F):
@@ -287,6 +314,13 @@ class Family:
         This default takes the traces of the dense jet; a family with a
         closed form overrides it and builds no array of dg's size."""
         return _trace_mass_vector(self.jet(x, order)[1:])
+
+    def scalar_density(self, x):
+        """R sqrt(det g) at the points x (N, n), the integrand of the matter
+        term c_n int R dV_g, checked as jet.  This default contracts the
+        dense order-2 jet (n^4 entries of d2g per point) through the Ricci
+        tensor; a family with a closed form overrides it."""
+        return _jet_scalar_density(*self.jet(x, 2))
 
     def clearance(self, x):
         """Distance |x| - inner_radius of the points x (N, n) from the
@@ -367,7 +401,8 @@ class ConformalFamily(Family):
 
     @np.errstate(over="ignore", invalid="ignore")
     def _factor_jet(self, x, order):
-        """[F, dF, d2F][:order + 1] of F = U^e, e = 4/(n-2): dF = e U^{e-1}
+        """The jet [U, grad U, Hess U][:order + 1] of the factor and the jet
+        [F, dF, d2F][:order + 1] of F = U^e, e = 4/(n-2): dF = e U^{e-1}
         grad U and d2F = e U^{e-1} Hess U + e (e-1) U^{e-2} grad U grad U,
         from one jet of the factor.  Raises NonPositiveConformalFactor where
         U <= 0 and NotPositiveDefinite where U^e under- or overflows."""
@@ -398,14 +433,23 @@ class ConformalFamily(Family):
                 f"{self.name}: U^{e:g} under- or overflows at"
                 f" {x[np.argmax(bad)].tolist()}"
             )
-        return F
+        return jet, F
 
     def jet(self, x, order):
         """g = F delta, written onto zeroed diagonals (_times_identity)."""
-        return [_times_identity(f, self.n) for f in self._factor_jet(x, order)]
+        return [_times_identity(f, self.n) for f in self._factor_jet(x, order)[1]]
 
     def mass_vector(self, x, order):
-        return _conformal_mass_vector(self.n, self._factor_jet(x, order))
+        return _conformal_mass_vector(self.n, self._factor_jet(x, order)[1])
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def scalar_density(self, x):
+        """R sqrt(det g) = -4 (n-1)/(n-2) U lap U, from one order-2 jet of
+        the factor (R = -4 (n-1)/(n-2) U^{-(n+2)/(n-2)} lap U and sqrt(det g)
+        = U^{2n/(n-2)}), checked as jet: no d2g and no Ricci contraction.
+        Where U lap U overflows it reads +-inf, as the contraction does."""
+        U = self._factor_jet(x, 2)[0]
+        return -4.0 * (self.n - 1) / (self.n - 2) * U[0] * np.einsum("nii->n", U[2])
 
     def params_json(self):
         if self.params is None:
@@ -503,7 +547,7 @@ class AsymptoticallySchwarzschildFamily(Family):
     def mass_vector(self, x, order):
         """The base's closed form plus c (B grad w - tr B grad w) and
         c (B : Hess w - tr B lap w)."""
-        F = self.base._factor_jet(x, order)
+        F = self.base._factor_jet(x, order)[1]
         w = self._weight_jet(x, order, F[0])
         out = _conformal_mass_vector(self.n, F)
         trace = np.trace(self.B)
@@ -570,24 +614,8 @@ class ScaledFamily(Family):
         )
         if b.mass_hint is not None:
             self.mass_hint = self.lam ** (self.n - 2) * b.mass_hint
-
-    @property
-    def radial_profile(self):
-        p = self.base_spec.family.radial_profile
-        if p is None:
-            return None
-        lam = self.lam
-        tail = None
-        if p.tail_coefficient is not None:
-            # 1 + a (r/lam)^{2-n} = 1 + a lam^{n-2} r^{2-n}
-            tail = p.tail_coefficient * lam ** (self.n - 2)
-        return RadialProfile(
-            lambda r: p.u(np.asarray(r) / lam),
-            lambda r: p.du(np.asarray(r) / lam) / lam,
-            lambda r: p.d2u(np.asarray(r) / lam) / lam ** 2,
-            tail_coefficient=tail,
-            name=f"dilated({p.name})",
-        )
+        if b.radial_profile is not None:
+            self.radial_profile = _dilated_profile(b.radial_profile, self.lam, self.n)
 
     def jet(self, x, order):
         jet = self.base_spec.family.jet(x / self.lam, order)
@@ -601,6 +629,10 @@ class ScaledFamily(Family):
             d /= self.lam ** k
         return out
 
+    def scalar_density(self, x):
+        # R scales by lam^-2 and sqrt(det g) is read at x / lam
+        return self.base_spec.family.scalar_density(x / self.lam) / self.lam ** 2
+
     def clearance(self, x):
         return self.lam * self.base_spec.family.clearance(x / self.lam)
 
@@ -609,6 +641,28 @@ class ScaledFamily(Family):
 
     def params_json(self):
         return {"base": metric_to_json(self.base_spec), "lambda": self.lam}
+
+
+def _dilated_profile(p, lam, n):
+    """The profile r -> U(r / lam) of a dilation, with its jet: U' and U''
+    pick up lam^-1 and lam^-2."""
+    tail = None
+    if p.tail_coefficient is not None:
+        # 1 + a (r/lam)^{2-n} = 1 + a lam^{n-2} r^{2-n}
+        tail = p.tail_coefficient * lam ** (n - 2)
+
+    def jet(r, order):
+        out = p.jet(np.asarray(r) / lam, order)
+        return out[:1] + [d / lam ** k for k, d in enumerate(out[1:], 1)]
+
+    return RadialProfile(
+        lambda r: p.u(np.asarray(r) / lam),
+        lambda r: p.du(np.asarray(r) / lam) / lam,
+        lambda r: p.d2u(np.asarray(r) / lam) / lam ** 2,
+        tail_coefficient=tail,
+        name=f"dilated({p.name})",
+        jet=jet,
+    )
 
 
 class TranslatedFamily(Family):
@@ -631,6 +685,9 @@ class TranslatedFamily(Family):
 
     def mass_vector(self, x, order):
         return self.base_spec.family.mass_vector(x + self.offset, order)
+
+    def scalar_density(self, x):
+        return self.base_spec.family.scalar_density(x + self.offset)
 
     def clearance(self, x):
         return self.base_spec.family.clearance(x + self.offset)

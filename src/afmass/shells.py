@@ -151,7 +151,11 @@ def solve_shell_potential(n, i):
     the exact power tail Q_inf r^{2-n} / (n-2); inside the cavity Q = 0 and
     v is constant, and max(r, lo) in place of r keeps 0 * inf out of it
     (also in v' and v'').  rho_i in v'' is 0 off the support and evaluated
-    only on it.  v >= 0 for the nonnegative density, so u = 1 + v >= 1."""
+    only on it.  v >= 0 for the nonnegative density, so u = 1 + v >= 1.
+
+    u, u' and u'' are each one term of q = Q(r) (u also of T(r), u'' of
+    rho_i(r)); the profile's jet evaluates Q once for all its orders, and
+    each order the same way as its own callable, bit for bit."""
     if n < 3:
         raise ValueError("need n >= 3 for a decaying potential")
     density = default_shell_density(n)
@@ -159,26 +163,35 @@ def solve_shell_potential(n, i):
     Q, q_inf, T = _charge_function(n, density, i)
     tail = q_inf / (n - 2)
 
-    def v(r):
-        r = np.asarray(r, dtype=float)
-        return (np.maximum(r, lo) ** (2 - n) * Q(r) + T(r)) / (n - 2)
+    def u(r, q):
+        return 1.0 + (np.maximum(r, lo) ** (2 - n) * q + T(r)) / (n - 2)
 
-    def dv(r):
-        r = np.asarray(r, dtype=float)
-        return -np.maximum(r, lo) ** (1 - n) * Q(r)
+    def du(r, q):
+        return -np.maximum(r, lo) ** (1 - n) * q
 
-    def d2v(r):
-        r = np.asarray(r, dtype=float)
+    def d2u(r, q):
         rho_vals = _on_support(
             r, lo, hi, 0.0, 0.0, lambda t: i ** (-n) * density.rho(t / i))
-        return (n - 1) * np.maximum(r, lo) ** (-n) * Q(r) - rho_vals
+        return (n - 1) * np.maximum(r, lo) ** (-n) * q - rho_vals
+
+    terms = (u, du, d2u)
+
+    def jet(r, order):
+        r = np.asarray(r, dtype=float)
+        q = Q(r)
+        return [term(r, q) for term in terms[:order + 1]]
+
+    def alone(term):
+        def call(r):
+            r = np.asarray(r, dtype=float)
+            return term(r, Q(r))
+        return call
 
     return RadialProfile(
-        u=lambda r: 1.0 + v(np.asarray(r, dtype=float)),
-        du=dv,
-        d2u=d2v,
+        *map(alone, terms),
         tail_coefficient=tail,
         name=f"shell(i={i})",
+        jet=jet,
     )
 
 

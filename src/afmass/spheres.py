@@ -46,7 +46,9 @@ class DegenerateNormal(GeometryError):
 
 @dataclass(frozen=True)
 class SphereReport:
-    """Area, mean-curvature and induced-scalar-curvature extrema of S_r."""
+    """Area, mean-curvature and induced-scalar-curvature extrema of S_r;
+    closed_form is the (U(r), U'(r)) the closed conformal forms were
+    evaluated at, or None for the generic route."""
 
     r: float
     area: float
@@ -56,6 +58,7 @@ class SphereReport:
     rho_min: float
     rho_max: float
     q: int
+    closed_form: tuple = None
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def sphere_report(spec, r, q=32):
         rho = conformal_sphere_scalar_curvature(n, r, closed[0])
         return SphereReport(
             r=float(r), area=area, H_min=H, H_max=H, maxH2=H * H,
-            rho_min=rho, rho_max=rho, q=q,
+            rho_min=rho, rho_max=rho, q=q, closed_form=closed,
         )
     area = 0.0
     H_min = math.inf

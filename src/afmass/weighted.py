@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import scalar_curvature
 from .geometry import legendre_rule, sample_spheres
 from .mass import _decay_exponent, adm_flux, adm_mass, extrapolate, flux_constant
-from .metrics import mass_vector, metric_jet
+from .metrics import _jet_scalar_density, mass_vector, metric_jet
 from .spheres import _symmetry
 
 __all__ = [
@@ -156,15 +155,27 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64):
 
 
 def _scalar_density(spec, pts):
-    g, dg, d2g = metric_jet(spec, pts)
-    # det g of a huge but finite metric overflows: the non-finite integral
-    # then fails the fit, whatever the warnings filter
-    with np.errstate(over="ignore", invalid="ignore"):
-        return scalar_curvature(g, dg, d2g) * np.sqrt(np.linalg.det(g))
+    """R sqrt(det g) at the points pts (N, n), checked as by metric_jet.
+
+    An analytic spec takes its family's scalar_density: the closed form
+    -4 (n-1)/(n-2) U lap U for a conformal family and its scaled and
+    translated wrappers, else the Ricci contraction of the family's jet.
+    An fd spec contracts its finite-difference jet."""
+    if spec.derivative_mode == "analytic":
+        spec.family.check_points(pts)
+        return spec.family.scalar_density(pts)
+    return _jet_scalar_density(*metric_jet(spec, pts))
 
 
 def matter_integral(spec, inner, outer, q=16, radial_q=96):
-    """c_n * int R dV_g over the annulus inner < |x| < outer."""
+    """c_n * int R dV_g over the annulus inner < |x| < outer.
+
+    The integrand is _scalar_density: the closed conformal form
+    -4 (n-1)/(n-2) U lap U for analytic conformal families (Schwarzschild,
+    harmonically flat, the matter shells, conformal fields) and their
+    scaled and translated wrappers, which builds no d2g; the Ricci
+    contraction of the order-2 jet for every other analytic family
+    (asymptotically Schwarzschild) and for fd specs."""
     return flux_constant(spec.n) * float(_volume_quadrature(
         spec, _scalar_density, [inner, outer], q, radial_q
     )[-1])

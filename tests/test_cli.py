@@ -384,6 +384,12 @@ OVERFLOWING_DOCS = {
         "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
                  "params": {"m": 1.0, "c": 1e300}},
     }, "FitIllConditioned"),
+    # the matter density U lap U is finite near the origin (the dense
+    # route's det g was not), and the divergence route's fit overflows
+    "weighted-mass-matter": ({
+        "command": "weighted-mass", "q": 4,
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1e60}},
+    }, "FitIllConditioned"),
     # r^{n-1} of the last sphere's weight overflows
     "adm-mass-radius": ({
         "command": "adm-mass", "q": 4, "radii": [20.0, 40.0, 80.0, 1e300],
@@ -584,6 +590,25 @@ class TestFgProfileCommand:
         header, rows = read_csv(out / "fg_profile.csv")
         result = read_json(out / "fg_limit.json")["result"]
         assert result["raw"] == [float(row[1]) for row in rows]
+
+    def test_one_closed_form_per_radius(self, tmp_path, monkeypatch):
+        # the fg bracket takes (U, U') from the sphere report
+        calls = []
+        original = afmass.spheres._closed_form
+
+        def counting(spec, r):
+            calls.append(r)
+            return original(spec, r)
+
+        # a module that imported the name would bypass the spheres spy
+        for module in (afmass.spheres, afmass.mass):
+            monkeypatch.setattr(module, "_closed_form", counting, raising=False)
+        cfg = write_config(tmp_path, {
+            "command": "fg-profile", "spec": SCHWARZSCHILD_N3,
+            "radii": [20, 40, 80, 160], "q": 4,
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [20.0, 40.0, 80.0, 160.0]
 
 
 class TestDeterminism:

@@ -12,7 +12,7 @@ from afmass.geometry import unit_sphere_area
 from afmass.mass import adm_mass
 from afmass.curvature import scalar_curvature
 from afmass import shells
-from afmass.metrics import metric_derivatives_at, metric_jet
+from afmass.metrics import metric_derivatives_at, metric_jet, scaled
 from afmass.shells import (
     ShellDensity,
     _charge_function,
@@ -127,6 +127,14 @@ class TestMatterCoupling:
         spec = shell_metric(3, 2)
         rep = mass_matter_defect(spec, inner=0.5, outer=4.0, q=8)
         assert rep.matter == pytest.approx(shell_matter_coupling(3, 2), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("i", [1, 2, 8])
+    def test_default_matter_integral_matches_coupling(self, n, i):
+        # the closed conformal density U lap U, integrated on the default
+        # annulus, against the 1-d coupling formula
+        rep = mass_matter_defect(shell_metric(n, i), q=4)
+        assert rep.matter == pytest.approx(shell_matter_coupling(n, i), rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_defect_negative_and_shrinking(self, n):
@@ -266,10 +274,52 @@ class TestSupportRows:
         nodes.clear()
         metric_jet(spec, x, 2)
         assert nodes == []
-        # a point inside the support runs its panels: Q (three times, once
-        # per order), T and rho_i in v''
+        # a point inside the support runs its panels: Q once for every
+        # order, T in v and rho_i in v''
         metric_jet(spec, 0.75 * i * e[:1], 2)
-        assert sum(nodes) > 0 and set(nodes) <= {1, 16}
+        assert nodes == [16, 16, 1]
+
+
+class TestProfileJet:
+    """The shell profile's jet shares Q between u, u' and u''."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("i", [1, 2, 8])
+    def test_jet_equals_the_separate_calls(self, n, i):
+        r = _shell_radii(n, i)
+        for prof in (solve_shell_potential(n, i),
+                     scaled(shell_metric(n, i), 1.7).family.radial_profile):
+            separate = [prof.u(r), prof.du(r), prof.d2u(r)]
+            for order in (0, 1, 2):
+                jet = prof.jet(r, order)
+                assert len(jet) == order + 1
+                for got, want in zip(jet, separate):
+                    assert np.array_equal(got, want), (prof.name, order)
+
+    def test_one_charge_evaluation_per_jet(self, monkeypatch):
+        calls = []
+        charge = shells._charge_function
+
+        def spied(*args):
+            Q, q_inf, T = charge(*args)
+
+            def counting(r):
+                calls.append(np.size(r))
+                return Q(r)
+
+            return counting, q_inf, T
+
+        monkeypatch.setattr(shells, "_charge_function", spied)
+        spec = shell_metric(3, 2)
+        x = np.array([[0.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 3.0]])
+        metric_jet(spec, x, 2)
+        assert calls == [3]
+
+    def test_scaled_profile_is_built_once(self):
+        family = scaled(shell_metric(3, 2), 1.7).family
+        assert family.radial_profile is family.radial_profile
+        assert family.radial_profile.tail_coefficient == pytest.approx(
+            1.7 * shell_tail_coefficient(3), rel=1e-15)
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,11 +8,17 @@ from afmass.cone import capped_cone, cone_metric_spec
 from afmass.curvature import scalar_curvature
 from afmass.geometry import sample_spheres
 from afmass.mass import adm_mass
+from afmass import curvature, metrics
 from afmass.metrics import (
+    Family,
     asymptotically_schwarzschild,
+    conformally_flat,
     euclidean,
+    harmonic_dipole_field,
+    harmonically_flat,
     metric_derivatives_at,
     metric_jet,
+    scaled,
     schwarzschild,
     translated,
 )
@@ -272,3 +278,77 @@ def test_one_sampler_pass_per_volume_integral(monkeypatch, compute):
     monkeypatch.setattr(weighted, "sample_spheres", spy)
     compute()
     assert len(passes) == 1
+
+
+def _density_cases(n):
+    """(name, spec, radii, on_matter): conformal families of dimension n and
+    radii about their centre, with the radii where R sqrt(det g) is not 0
+    (the i = 2 shell's support [1, 2], dilated by 1.7 for the scaled one)."""
+    shell = shell_metric(n, 2)
+    vacuum = [0.5, 2.0, 20.0, 300.0]
+    shell_radii = [0.3, 0.99, 1.2, 1.5, 1.8, 2.0, 2.5, 10.0, 300.0]
+    matter = [False, False, True, True, True, False, False, False, False]
+    return [
+        ("Schwarzschild", schwarzschild(n, 1.3), vacuum, [False] * 4),
+        ("HarmonicallyFlat", harmonically_flat(n, 0.4), vacuum, [False] * 4),
+        ("dipole", conformally_flat(n, harmonic_dipole_field(n, 0.5, 0.3)),
+         [1.5, 2.0, 20.0, 300.0], [False] * 4),
+        ("shell", shell, shell_radii, matter),
+        ("Scaled-shell", scaled(shell, 1.7), [1.7 * r for r in shell_radii], matter),
+        ("Translated-shell", translated(shell, 0.1 * np.arange(1, n + 1)),
+         shell_radii, matter),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_closed_scalar_density_matches_the_ricci_contraction(n):
+    # the override -4 (n-1)/(n-2) U lap U against Family.scalar_density's
+    # contraction of the dense jet, at points in every direction: relative
+    # 1e-10 on the matter, and roundoff of the contraction's terms where
+    # R = 0 (vacuum, cavity and tail)
+    rng = np.random.default_rng(n)
+    for name, spec, radii, on_matter in _density_cases(n):
+        family = spec.family
+        u = rng.normal(size=(len(radii), n))
+        x = np.array(radii)[:, None] * u / np.linalg.norm(u, axis=1)[:, None]
+        if name.startswith("Translated"):
+            x -= family.offset
+        closed = family.scalar_density(x)
+        generic = Family.scalar_density(family, x)
+        g, dg, d2g = family.jet(x, 2)
+        f = g[:, 0, 0]
+        roundoff = 64.0 * np.finfo(float).eps * f ** (n / 2.0) * (
+            np.abs(d2g).reshape(len(x), -1).max(axis=1) / f
+            + (np.abs(dg).reshape(len(x), -1).max(axis=1) / f) ** 2)
+        on = np.array(on_matter)
+        assert np.all(closed[on] > 0.0), name
+        np.testing.assert_allclose(generic[on], closed[on], rtol=1e-10, atol=0.0,
+                                   err_msg=name)
+        for value in (closed[~on], generic[~on]):
+            assert np.all(np.abs(value) <= roundoff[~on]), (name, value)
+
+
+def test_matter_integral_takes_the_closed_form_for_conformal_specs(monkeypatch):
+    calls = []
+    contraction = curvature.scalar_curvature
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return contraction(*args)
+
+    for module in (curvature, metrics):
+        monkeypatch.setattr(module, "scalar_curvature", counting)
+    shell = shell_metric(3, 2)
+    for spec in (schwarzschild(3, 1.0), shell, scaled(shell, 1.5),
+                 translated(shell, [0.5, 0.0, 0.0]),
+                 conformally_flat(3, harmonic_dipole_field(3, 0.5, 0.3))):
+        matter_integral(spec, 2.0, 4.0, q=4, radial_q=8)
+    assert calls == []
+    matter_integral(asymptotically_schwarzschild(3, 1.0, c=0.3), 2.0, 4.0,
+                    q=4, radial_q=8)
+    assert calls and sum(calls) > 0
+    # an fd spec of a conformal family contracts its finite-difference jet
+    calls.clear()
+    matter_integral(schwarzschild(3, 1.0, derivative_mode="fd"), 2.0, 4.0,
+                    q=2, radial_q=2)
+    assert calls
