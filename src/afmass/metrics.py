@@ -43,6 +43,7 @@ __all__ = [
     "metric_jet",
     "metric_derivatives_at",
     "mass_vector",
+    "scalar_density",
     "metric_to_json",
     "metric_from_json",
 ]
@@ -114,15 +115,16 @@ class RadialProfile:
             out.append(self.d2u(r))
         return out
 
-    def positive_u(self, r):
-        """U at the radii r (an array); NonPositiveConformalFactor where
-        U <= 0, since U^{4/(n-2)} delta is no metric there."""
-        u = self.u(r)
+    def positive_jet(self, r, order):
+        """jet(r, order); NonPositiveConformalFactor where U <= 0, since
+        U^{4/(n-2)} delta is no metric there."""
+        out = self.jet(r, order)
+        u = out[0]
         if np.any(u <= 0.0):
             raise NonPositiveConformalFactor(
                 f"conformal factor U <= 0 at r={r[u <= 0.0][:3]} (profile {self.name})"
             )
-        return u
+        return out
 
 
 def _power_profile(a, n):
@@ -447,8 +449,20 @@ class ConformalFamily(Family):
         """R sqrt(det g) = -4 (n-1)/(n-2) U lap U, from one order-2 jet of
         the factor (R = -4 (n-1)/(n-2) U^{-(n+2)/(n-2)} lap U and sqrt(det g)
         = U^{2n/(n-2)}), checked as jet: no d2g and no Ricci contraction.
-        Where U lap U overflows it reads +-inf, as the contraction does."""
-        U = self._factor_jet(x, 2)[0]
+        Where U lap U overflows it reads +-inf, as the contraction does.
+
+        Raises NotPositiveDefinite where det g = F^n overflows, as the
+        contraction's volume element did: there U lap U, a cancellation of
+        terms of size U |Hess U|, is roundoff (for Schwarzschild, n = 3,
+        m = 1e30 its matter integral from r = 1e-8 read 3.6e46 for an exact
+        0)."""
+        U, F = self._factor_jet(x, 2)
+        det = F[0] ** self.n
+        if not np.isfinite(det).all():
+            raise NotPositiveDefinite(
+                f"{self.name}: det g = U^{4.0 * self.n / (self.n - 2):g} overflows"
+                f" at {x[np.argmax(~np.isfinite(det))].tolist()}"
+            )
         return -4.0 * (self.n - 1) / (self.n - 2) * U[0] * np.einsum("nii->n", U[2])
 
     def params_json(self):
@@ -644,21 +658,22 @@ class ScaledFamily(Family):
 
 
 def _dilated_profile(p, lam, n):
-    """The profile r -> U(r / lam) of a dilation, with its jet: U' and U''
-    pick up lam^-1 and lam^-2."""
+    """The profile r -> U(r / lam) of a dilation, written as its jet: the
+    k-th derivative picks up lam^-k."""
     tail = None
     if p.tail_coefficient is not None:
         # 1 + a (r/lam)^{2-n} = 1 + a lam^{n-2} r^{2-n}
         tail = p.tail_coefficient * lam ** (n - 2)
 
     def jet(r, order):
-        out = p.jet(np.asarray(r) / lam, order)
-        return out[:1] + [d / lam ** k for k, d in enumerate(out[1:], 1)]
+        return [d / lam ** k for k, d in enumerate(p.jet(np.asarray(r) / lam, order))]
+
+    def alone(k):
+        # the k-th derivative alone is the last entry of the jet to order k
+        return lambda r: jet(r, k)[k]
 
     return RadialProfile(
-        lambda r: p.u(np.asarray(r) / lam),
-        lambda r: p.du(np.asarray(r) / lam) / lam,
-        lambda r: p.d2u(np.asarray(r) / lam) / lam ** 2,
+        *map(alone, range(3)),
         tail_coefficient=tail,
         name=f"dilated({p.name})",
         jet=jet,
@@ -839,6 +854,24 @@ def mass_vector(spec, x, order=1):
         derivs = metric_derivatives_at(spec, pts, order)
         out = _trace_mass_vector(derivs if order == 2 else (derivs,))
     return [d[0] for d in out] if single else out
+
+
+def scalar_density(spec, x):
+    """R sqrt(det g) at x, the integrand of the matter term c_n int R dV_g;
+    batched if x is (N, n).
+
+    The points are checked as by metric_jet.  An analytic spec takes its
+    family's scalar_density: the closed form -4 (n-1)/(n-2) U lap U for a
+    conformal family and its scaled and translated wrappers, else the Ricci
+    contraction of the family's jet.  An fd spec contracts its
+    finite-difference jet."""
+    pts, single = _as_points(x, spec.n)
+    if spec.derivative_mode == "analytic":
+        spec.family.check_points(pts)
+        out = spec.family.scalar_density(pts)
+    else:
+        out = _jet_scalar_density(*metric_jet(spec, pts))
+    return out[0] if single else out
 
 
 def _fd_steps(spec, pts):

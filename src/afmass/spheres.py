@@ -112,7 +112,8 @@ def _closed_form(spec, r):
         raise OverflowError(
             f"sphere r = {r:g}: r^{spec.n - 1} = {power:g} leaves the float range")
     rr = np.array([float(r)])
-    return float(profile.positive_u(rr)[0]), float(profile.du(rr)[0])
+    u, du = profile.positive_jet(rr, 1)
+    return float(u[0]), float(du[0])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 
 from .geometry import legendre_rule, sample_spheres
 from .mass import _decay_exponent, adm_flux, adm_mass, extrapolate, flux_constant
-from .metrics import _jet_scalar_density, mass_vector, metric_jet
+from .metrics import mass_vector, metric_jet
+from .metrics import scalar_density as _scalar_density
 from .spheres import _symmetry
 
 __all__ = [
@@ -154,23 +155,10 @@ def mass_via_divergence(spec, inner=None, outer=None, q=16, radial_q=64):
     return extrapolate(radii, base + flux_constant(n) * volume, _decay_exponent(spec))
 
 
-def _scalar_density(spec, pts):
-    """R sqrt(det g) at the points pts (N, n), checked as by metric_jet.
-
-    An analytic spec takes its family's scalar_density: the closed form
-    -4 (n-1)/(n-2) U lap U for a conformal family and its scaled and
-    translated wrappers, else the Ricci contraction of the family's jet.
-    An fd spec contracts its finite-difference jet."""
-    if spec.derivative_mode == "analytic":
-        spec.family.check_points(pts)
-        return spec.family.scalar_density(pts)
-    return _jet_scalar_density(*metric_jet(spec, pts))
-
-
 def matter_integral(spec, inner, outer, q=16, radial_q=96):
     """c_n * int R dV_g over the annulus inner < |x| < outer.
 
-    The integrand is _scalar_density: the closed conformal form
+    The integrand is metrics.scalar_density: the closed conformal form
     -4 (n-1)/(n-2) U lap U for analytic conformal families (Schwarzschild,
     harmonically flat, the matter shells, conformal fields) and their
     scaled and translated wrappers, which builds no d2g; the Ricci

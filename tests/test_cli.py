@@ -384,12 +384,16 @@ OVERFLOWING_DOCS = {
         "spec": {"n": 3, "family": "AsymptoticallySchwarzschild",
                  "params": {"m": 1.0, "c": 1e300}},
     }, "FitIllConditioned"),
-    # the matter density U lap U is finite near the origin (the dense
-    # route's det g was not), and the divergence route's fit overflows
+    # U^4 is finite near the origin, but det g = U^12 overflows in the
+    # matter density
     "weighted-mass-matter": ({
         "command": "weighted-mass", "q": 4,
-        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1e60}},
-    }, "FitIllConditioned"),
+        "spec": {"n": 3, "family": "Schwarzschild", "params": {"m": 1e30}},
+    }, "NotPositiveDefinite"),
+    "weighted-mass-matter-n7": ({
+        "command": "weighted-mass", "q": 4,
+        "spec": {"n": 7, "family": "Schwarzschild", "params": {"m": 1e60}},
+    }, "NotPositiveDefinite"),
     # r^{n-1} of the last sphere's weight overflows
     "adm-mass-radius": ({
         "command": "adm-mass", "q": 4, "radii": [20.0, 40.0, 80.0, 1e300],

@@ -11,6 +11,7 @@ from afmass.mass import adm_mass
 from afmass import curvature, metrics
 from afmass.metrics import (
     Family,
+    NotPositiveDefinite,
     asymptotically_schwarzschild,
     conformally_flat,
     euclidean,
@@ -18,6 +19,7 @@ from afmass.metrics import (
     harmonically_flat,
     metric_derivatives_at,
     metric_jet,
+    scalar_density,
     scaled,
     schwarzschild,
     translated,
@@ -352,3 +354,22 @@ def test_matter_integral_takes_the_closed_form_for_conformal_specs(monkeypatch):
     matter_integral(schwarzschild(3, 1.0, derivative_mode="fd"), 2.0, 4.0,
                     q=2, radial_q=2)
     assert calls
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_closed_scalar_density_refuses_where_det_g_overflows(action):
+    # U = 1 + m / (2r) = 1e32 at r = 0.005: the jet (U^4 and its
+    # derivatives) is finite, but det g = U^12 is not, and there U lap U is
+    # roundoff; the same error whatever the warnings filter, for the
+    # wrappers too
+    base = schwarzschild(3, 1e30)
+    x = np.array([[1e6, 0.0, 0.0], [0.005, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert all(np.isfinite(d).all() for d in metric_jet(base, x))
+        for spec, y in ((base, x), (scaled(base, 2.0), 2.0 * x),
+                        (translated(base, [1.0, 0.0, 0.0]), x - [1.0, 0.0, 0.0])):
+            with pytest.raises(NotPositiveDefinite, match=r"det g = U\^12 overflows"):
+                scalar_density(spec, y)
+        # far out det g = U^12 < 1e282 is finite, and so is the density
+        assert np.isfinite(scalar_density(base, x[0]))
