@@ -59,17 +59,26 @@ class EstimatesDisagree(GeometryError):
 
 @dataclass(frozen=True)
 class ConicalSurface:
-    """Surface dr^2 + f(r)^2 dtheta^2 with analytic f, f', f''.
+    """Surface dr^2 + f(r)^2 dtheta^2, given by the jet of its profile: a
+    callable (r, order) -> [f, f', f''][:order + 1] that writes each
+    derivative once.  f, df and d2f read one entry of it.
 
     alpha is the asymptotic opening f(r)/r -> alpha; the surface closes up
     smoothly at r = 0 (f(0) = 0, f'(0) = 1), a disc of Euler characteristic 1."""
 
-    f: callable
-    df: callable
-    d2f: callable
+    jet: callable
     alpha: float
     transition_radius: float = 1.0
     name: str = "cone"
+
+    def f(self, r):
+        return self.jet(r, 0)[0]
+
+    def df(self, r):
+        return self.jet(r, 1)[1]
+
+    def d2f(self, r):
+        return self.jet(r, 2)[2]
 
 
 def capped_cone(alpha):
@@ -81,23 +90,18 @@ def capped_cone(alpha):
         raise ValueError("opening must lie in (0, 1]")
     b = 1.0 - alpha
 
-    def f(r):
+    def jet(r, order):
         r = np.asarray(r, dtype=float)
         w = np.clip(1.0 - r ** 2, 0.0, None)
-        return r * (alpha + b * w ** 3)
+        ratio = alpha + b * w ** 3
+        out = [r * ratio]
+        if order >= 1:
+            out.append(ratio - 6.0 * b * r ** 2 * w ** 2)
+        if order == 2:
+            out.append(-18.0 * b * r * w ** 2 + 24.0 * b * r ** 3 * w)
+        return out
 
-    def df(r):
-        r = np.asarray(r, dtype=float)
-        w = np.clip(1.0 - r ** 2, 0.0, None)
-        return alpha + b * w ** 3 - 6.0 * b * r ** 2 * w ** 2
-
-    def d2f(r):
-        r = np.asarray(r, dtype=float)
-        w = np.clip(1.0 - r ** 2, 0.0, None)
-        return -18.0 * b * r * w ** 2 + 24.0 * b * r ** 3 * w
-
-    return ConicalSurface(f=f, df=df, d2f=d2f, alpha=alpha,
-                          transition_radius=1.0, name="capped_cone")
+    return ConicalSurface(jet, alpha, transition_radius=1.0, name="capped_cone")
 
 
 def perturbed_cone(alpha, amplitude=0.1, tau=1.0):
@@ -110,45 +114,30 @@ def perturbed_cone(alpha, amplitude=0.1, tau=1.0):
         raise ValueError(f"perturbation decay tau must be positive, got {tau}")
     base = capped_cone(alpha)
 
-    # cutoff z(r) = (1 - 1/r^2)^3 for r > 1: C^2 at r = 1, -> 1 at infinity
-    def z(r):
-        w = np.clip(1.0 - r ** -2.0, 0.0, None)
-        return w ** 3
-
-    def dz(r):
-        w = np.clip(1.0 - r ** -2.0, 0.0, None)
-        return 6.0 * w ** 2 * r ** -3.0 * (r > 1.0)
-
-    def d2z(r):
-        w = np.clip(1.0 - r ** -2.0, 0.0, None)
-        return (24.0 * w * r ** -6.0 - 18.0 * w ** 2 * r ** -4.0) * (r > 1.0)
-
     # a huge amplitude overflows f, f' and f'' to inf or NaN, whatever the
     # warnings filter: total_gauss_curvature and cone_mass's comparison of
     # its two routes then raise
-    quiet = np.errstate(over="ignore", invalid="ignore")
-
-    @quiet
-    def f(r):
+    @np.errstate(over="ignore", invalid="ignore")
+    def jet(r, order):
         r = np.asarray(r, dtype=float)
-        return base.f(r) + amplitude * r ** -tau * z(r)
+        capped = base.jet(r, order)
+        # cutoff z(r) = (1 - 1/r^2)^3 for r > 1: C^2 at r = 1, -> 1 at infinity
+        w = np.clip(1.0 - r ** -2.0, 0.0, None)
+        z = w ** 3
+        out = [capped[0] + amplitude * r ** -tau * z]
+        if order >= 1:
+            dz = 6.0 * w ** 2 * r ** -3.0 * (r > 1.0)
+            out.append(capped[1] - amplitude * tau * r ** (-tau - 1.0) * z
+                       + amplitude * r ** -tau * dz)
+        if order == 2:
+            d2z = (24.0 * w * r ** -6.0 - 18.0 * w ** 2 * r ** -4.0) * (r > 1.0)
+            out.append(capped[2]
+                       + amplitude * tau * (tau + 1.0) * r ** (-tau - 2.0) * z
+                       - 2.0 * amplitude * tau * r ** (-tau - 1.0) * dz
+                       + amplitude * r ** -tau * d2z)
+        return out
 
-    @quiet
-    def df(r):
-        r = np.asarray(r, dtype=float)
-        return (base.df(r) - amplitude * tau * r ** (-tau - 1.0) * z(r)
-                + amplitude * r ** -tau * dz(r))
-
-    @quiet
-    def d2f(r):
-        r = np.asarray(r, dtype=float)
-        return (base.d2f(r)
-                + amplitude * tau * (tau + 1.0) * r ** (-tau - 2.0) * z(r)
-                - 2.0 * amplitude * tau * r ** (-tau - 1.0) * dz(r)
-                + amplitude * r ** -tau * d2z(r))
-
-    return ConicalSurface(f=f, df=df, d2f=d2f, alpha=alpha,
-                          transition_radius=1.0, name="perturbed_cone")
+    return ConicalSurface(jet, alpha, transition_radius=1.0, name="perturbed_cone")
 
 
 def geodesic_curvature_integral(surface, r):
@@ -182,12 +171,12 @@ def total_gauss_curvature(surface, r):
     for lo, hi in zip(edges[:-1], edges[1:]):
         s = 0.5 * (hi - lo) * (xg + 1.0) + lo
         w = 0.5 * (hi - lo) * wg
-        f = surface.f(s)
+        f, _, d2f = surface.jet(s, 2)
         if np.any(f <= 0.0):
             raise NotPositiveDefinite(
                 f"{surface.name}: f <= 0 at r = {s[f <= 0.0][:3]}"
             )
-        K = -surface.d2f(s) / f
+        K = -d2f / f
         total += float(np.dot(w, K * f))
     return 2.0 * math.pi * total
 
@@ -221,18 +210,15 @@ def cone_blow_up_profile(surface, i):
     As i -> 0 the surface converges locally (away from the tip) to the exact
     cone; as i -> infinity it flattens toward the plane when f'(0) = 1."""
 
-    def f(r):
-        return i * surface.f(np.asarray(r, dtype=float) / i)
-
-    def df(r):
-        return surface.df(np.asarray(r, dtype=float) / i)
-
-    def d2f(r):
-        return surface.d2f(np.asarray(r, dtype=float) / i) / i
+    def jet(r, order):
+        out = surface.jet(np.asarray(r, dtype=float) / i, order)
+        out[0] = i * out[0]
+        if order == 2:
+            out[2] = out[2] / i
+        return out
 
     return ConicalSurface(
-        f=f, df=df, d2f=d2f, alpha=surface.alpha,
-        transition_radius=i * surface.transition_radius,
+        jet, surface.alpha, transition_radius=i * surface.transition_radius,
         name=f"{surface.name}@{i}",
     )
 
@@ -256,13 +242,14 @@ class Cone2DFamily(Family):
         self.radial_breakpoints = (surface.transition_radius,)
 
     def jet(self, x, order):
-        """[g, dg, d2g][:order + 1] from f, f', f'' at r = |x|, by the
+        """[g, dg, d2g][:order + 1] from one jet [f, f', f''] at r = |x|, by the
         product rule on s(r) T(x): d_k s = s' x_k / r and
         d_k d_l s = s'' x_k x_l / r^2 + s' (delta_kl / r - x_k x_l / r^3),
         d_k T_ij = 2 x_k delta_ij - delta_ik x_j - x_i delta_jk and
         d_k d_l T_ij = 2 delta_kl delta_ij - delta_ik delta_jl - delta_il delta_jk."""
         r = np.linalg.norm(x, axis=1)
-        f = self.surface.f(r)
+        profile = self.surface.jet(r, order)
+        f = profile[0]
         if np.any(f <= 0.0):
             raise NotPositiveDefinite(
                 f"{self.name}: f <= 0 at r = {r[f <= 0.0][:3]}"
@@ -274,7 +261,7 @@ class Cone2DFamily(Family):
         jet = [eye + s[:, None, None] * T]
         if order == 0:
             return jet
-        df = self.surface.df(r)
+        df = profile[1]
         # s1 = s'(r) and, below, s2 = s''(r)
         s1 = 2.0 * f * df / r ** 4 - 4.0 * f * f / r ** 5 + 2.0 / r ** 3
         ds = (s1 / r)[:, None] * x
@@ -284,7 +271,7 @@ class Cone2DFamily(Family):
         jet.append(np.einsum("nk,nij->nkij", ds, T) + s[:, None, None, None] * dT)
         if order == 1:
             return jet
-        d2f = self.surface.d2f(r)
+        d2f = profile[2]
         s2 = (2.0 * (df * df + f * d2f) / r ** 4 - 16.0 * f * df / r ** 5
               + 20.0 * f * f / r ** 6 - 6.0 / r ** 4)
         d2s = ((s2 - s1 / r) / r ** 2)[:, None, None] * xx + (s1 / r)[:, None, None] * eye
@@ -308,16 +295,18 @@ def _profile_c2_distance(prof, reference, rr):
 
     Compares the scale-free circumference ratio f/r plus both derivatives;
     reference may be None (flat plane: f = r)."""
+    f, df, d2f = prof.jet(rr, 2)
     if reference is None:
         return max(
-            float(np.abs(prof.f(rr) / rr - 1.0).max()),
-            float(np.abs(prof.df(rr) - 1.0).max()),
-            float(np.abs(prof.d2f(rr)).max()),
+            float(np.abs(f / rr - 1.0).max()),
+            float(np.abs(df - 1.0).max()),
+            float(np.abs(d2f).max()),
         )
+    ref_f, ref_df, ref_d2f = reference.jet(rr, 2)
     return max(
-        float(np.abs((prof.f(rr) - reference.f(rr)) / rr).max()),
-        float(np.abs(prof.df(rr) - reference.df(rr)).max()),
-        float(np.abs(prof.d2f(rr) - reference.d2f(rr)).max()),
+        float(np.abs((f - ref_f) / rr).max()),
+        float(np.abs(df - ref_df).max()),
+        float(np.abs(d2f - ref_d2f).max()),
     )
 
 

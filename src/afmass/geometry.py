@@ -217,12 +217,6 @@ class SphereQuadrature:
         # omega_{n-2} int (1 - t^2)^{(n-3)/2} dt = omega_{n-1}
         return u, unit_sphere_area(self.n) * w
 
-    def generic_node(self):
-        """A single interior node with no special symmetry (the one node
-        of a symmetric sample)."""
-        phi = np.array([self.nodes_1d[k][self.q // 3] for k in range(self.n - 1)])
-        return phi
-
     def unit_sphere_weighted_area(self):
         """Quadrature value of the flat unit-sphere area (exactness check)."""
         out = 2.0 * math.pi
@@ -237,8 +231,9 @@ class SphereQuadrature:
 @functools.lru_cache
 def _one_node(n, q):
     """Unit vector (1, n) and weight (1,) of a symmetric sample: the chart
-    image of SphereQuadrature(n, q).generic_node(), from legendre_rule's
-    nodes, and omega_{n-1}.  Built once per (n, q) (cached) and read-only."""
+    image of the grid's node q // 3 on every angle axis (an interior node
+    with no special symmetry), from legendre_rule's nodes, and omega_{n-1}.
+    Built once per (n, q) (cached) and read-only."""
     _check_order(n, q)
     periodic = 2.0 * math.pi * np.arange(q) / q
     phi = [periodic[q // 3]]

@@ -85,35 +85,27 @@ def _as_points(x, n):
 
 
 class RadialProfile:
-    """A radial conformal factor U(r) with two derivatives.
-
-    Subclasses (or instances built from callables) supply u, du, d2u, and
-    optionally `jet`, a callable (r, order) -> [U, U', U''][:order + 1]
-    that shares work between the orders and equals the three callables bit
-    for bit; the optional tail coefficient `a` declares U = 1 + a r^{2-n}
-    + ... at infinity, which fixes the ADM mass 2a of the conformal metric.
+    """A radial conformal factor U(r) with two derivatives, given as its
+    jet: a callable (r, order) -> [U, U', U''][:order + 1] that writes each
+    derivative once and shares work between the orders.  u, du and d2u read
+    one entry of it.  The optional tail coefficient `a` declares
+    U = 1 + a r^{2-n} + ... at infinity, which fixes the ADM mass 2a of the
+    conformal metric.
     """
 
-    def __init__(self, u, du, d2u, tail_coefficient=None, name="custom",
-                 jet=None):
-        self.u = u
-        self.du = du
-        self.d2u = d2u
+    def __init__(self, jet, tail_coefficient=None, name="custom"):
+        self.jet = jet
         self.tail_coefficient = tail_coefficient
         self.name = name
-        self._jet = jet
 
-    def jet(self, r, order):
-        """[U, U', U''][:order + 1] at the radii r (an array): the profile's
-        jet callable, else u, du and d2u called once each."""
-        if self._jet is not None:
-            return self._jet(r, order)
-        out = [self.u(r)]
-        if order >= 1:
-            out.append(self.du(r))
-        if order == 2:
-            out.append(self.d2u(r))
-        return out
+    def u(self, r):
+        return self.jet(r, 0)[0]
+
+    def du(self, r):
+        return self.jet(r, 1)[1]
+
+    def d2u(self, r):
+        return self.jet(r, 2)[2]
 
     def positive_jet(self, r, order):
         """jet(r, order); NonPositiveConformalFactor where U <= 0, since
@@ -131,16 +123,15 @@ def _power_profile(a, n):
     """U(r) = 1 + a / r^{n-2}."""
     p = n - 2
 
-    def u(r):
-        return 1.0 + a / r ** p
+    def jet(r, order):
+        out = [1.0 + a / r ** p]
+        if order >= 1:
+            out.append(-p * a / r ** (p + 1))
+        if order == 2:
+            out.append(p * (p + 1) * a / r ** (p + 2))
+        return out
 
-    def du(r):
-        return -p * a / r ** (p + 1)
-
-    def d2u(r):
-        return p * (p + 1) * a / r ** (p + 2)
-
-    return RadialProfile(u, du, d2u, tail_coefficient=a, name="power")
+    return RadialProfile(jet, tail_coefficient=a, name="power")
 
 
 class ScalarField:
@@ -354,9 +345,8 @@ class Euclidean(Family):
         self.n = n
         # conformally flat with U = 1: lets closed-form sphere paths apply
         self.radial_profile = RadialProfile(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            lambda r, order: [np.full(np.shape(r), float(k == 0))
+                              for k in range(order + 1)],
             tail_coefficient=0.0,
             name="one",
         )
@@ -668,16 +658,7 @@ def _dilated_profile(p, lam, n):
     def jet(r, order):
         return [d / lam ** k for k, d in enumerate(p.jet(np.asarray(r) / lam, order))]
 
-    def alone(k):
-        # the k-th derivative alone is the last entry of the jet to order k
-        return lambda r: jet(r, k)[k]
-
-    return RadialProfile(
-        *map(alone, range(3)),
-        tail_coefficient=tail,
-        name=f"dilated({p.name})",
-        jet=jet,
-    )
+    return RadialProfile(jet, tail_coefficient=tail, name=f"dilated({p.name})")
 
 
 class TranslatedFamily(Family):

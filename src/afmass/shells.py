@@ -154,8 +154,8 @@ def solve_shell_potential(n, i):
     only on it.  v >= 0 for the nonnegative density, so u = 1 + v >= 1.
 
     u, u' and u'' are each one term of q = Q(r) (u also of T(r), u'' of
-    rho_i(r)); the profile's jet evaluates Q once for all its orders, and
-    each order the same way as its own callable, bit for bit."""
+    rho_i(r)); the profile's jet evaluates Q once for all its orders and
+    writes each order once."""
     if n < 3:
         raise ValueError("need n >= 3 for a decaying potential")
     density = default_shell_density(n)
@@ -163,36 +163,20 @@ def solve_shell_potential(n, i):
     Q, q_inf, T = _charge_function(n, density, i)
     tail = q_inf / (n - 2)
 
-    def u(r, q):
-        return 1.0 + (np.maximum(r, lo) ** (2 - n) * q + T(r)) / (n - 2)
-
-    def du(r, q):
-        return -np.maximum(r, lo) ** (1 - n) * q
-
-    def d2u(r, q):
-        rho_vals = _on_support(
-            r, lo, hi, 0.0, 0.0, lambda t: i ** (-n) * density.rho(t / i))
-        return (n - 1) * np.maximum(r, lo) ** (-n) * q - rho_vals
-
-    terms = (u, du, d2u)
-
     def jet(r, order):
         r = np.asarray(r, dtype=float)
         q = Q(r)
-        return [term(r, q) for term in terms[:order + 1]]
+        rr = np.maximum(r, lo)
+        out = [1.0 + (rr ** (2 - n) * q + T(r)) / (n - 2)]
+        if order >= 1:
+            out.append(-rr ** (1 - n) * q)
+        if order == 2:
+            rho_vals = _on_support(
+                r, lo, hi, 0.0, 0.0, lambda t: i ** (-n) * density.rho(t / i))
+            out.append((n - 1) * rr ** (-n) * q - rho_vals)
+        return out
 
-    def alone(term):
-        def call(r):
-            r = np.asarray(r, dtype=float)
-            return term(r, Q(r))
-        return call
-
-    return RadialProfile(
-        *map(alone, terms),
-        tail_coefficient=tail,
-        name=f"shell(i={i})",
-        jet=jet,
-    )
+    return RadialProfile(jet, tail_coefficient=tail, name=f"shell(i={i})")
 
 
 def shell_tail_coefficient(n):

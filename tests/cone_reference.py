@@ -13,9 +13,7 @@ from afmass.curvature import scalar_curvature
 
 def reference_gauss_curvature(surface, r):
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    f = surface.f(r)
-    df = surface.df(r)
-    d2f = surface.d2f(r)
+    f, df, d2f = surface.jet(r, 2)
     N = r.shape[0]
     g = np.zeros((N, 2, 2))
     g[:, 0, 0] = 1.0

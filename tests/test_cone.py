@@ -158,8 +158,14 @@ class TestConeMass:
     def test_inconsistent_surface_detected(self):
         # a turning angle that is not f' breaks the Gauss-Bonnet agreement
         s = capped_cone(0.7)
-        broken = ConicalSurface(f=s.f, df=lambda r: s.df(r) + 0.1, d2f=s.d2f,
-                                alpha=s.alpha)
+
+        def jet(r, order):
+            out = s.jet(r, order)
+            if order >= 1:
+                out[1] = out[1] + 0.1
+            return out
+
+        broken = ConicalSurface(jet, s.alpha)
         with pytest.raises(EstimatesDisagree):
             cone_mass(broken)
 
@@ -167,10 +173,14 @@ class TestConeMass:
         # a NaN on the curvature route past the first radius, which
         # max() over the differences would drop
         s = capped_cone(0.7)
-        broken = ConicalSurface(
-            f=s.f, df=s.df, alpha=s.alpha,
-            d2f=lambda r: np.where(np.asarray(r) > 10.0, np.nan, s.d2f(r)),
-        )
+
+        def jet(r, order):
+            out = s.jet(r, order)
+            if order == 2:
+                out[2] = np.where(np.asarray(r) > 10.0, np.nan, out[2])
+            return out
+
+        broken = ConicalSurface(jet, s.alpha)
         with pytest.raises(EstimatesDisagree, match="r = 16"):
             cone_mass(broken)
 

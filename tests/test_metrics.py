@@ -233,9 +233,16 @@ class TestOneJet:
                 return fn(x, order)
             monkeypatch.setattr(family, "jet", recording)
         profile = spec.family.base.radial_profile
-        monkeypatch.setattr(profile, "d2u", None)
+        profile_orders = []
+
+        def profile_recording(r, order, fn=profile.jet):
+            profile_orders.append(order)
+            return fn(r, order)
+
+        monkeypatch.setattr(profile, "jet", profile_recording)
         metric_jet(spec, np.array([[3.0, 1.0, -2.0], [0.5, 4.0, 1.0]]), 0)[0]
         assert orders == [0, 0]
+        assert max(profile_orders) == 0
 
 
 def _random_direction(n, seed=5):
@@ -401,10 +408,7 @@ class TestPositiveDefinite:
     def test_conformal_factor_underflow(self):
         # U = 1e-100 > 0, but U^4 underflows to 0
         prof = RadialProfile(
-            u=lambda r: np.full_like(r, 1e-100),
-            du=lambda r: np.zeros_like(r),
-            d2u=lambda r: np.zeros_like(r),
-        )
+            lambda r, order: [np.full_like(r, 1e-100)] + [np.zeros_like(r)] * order)
         with pytest.raises(NotPositiveDefinite):
             metric_jet(conformally_flat(3, prof), np.array([2.0, 0.0, 0.0]), 0)[0]
 
@@ -453,8 +457,9 @@ class TestPositiveDefinite:
         from afmass.cone import ConicalSurface, cone_metric_spec
 
         # f vanishes on the circle r = 2
-        surface = ConicalSurface(f=lambda r: r * (r - 2.0), df=lambda r: 2.0 * r - 2.0,
-                                 d2f=lambda r: 2.0 + 0.0 * r, alpha=1.0)
+        surface = ConicalSurface(
+            lambda r, order: [r * (r - 2.0), 2.0 * r - 2.0, 2.0 + 0.0 * r][:order + 1],
+            alpha=1.0)
         spec = cone_metric_spec(surface)
         for order in (0, 1, 2):
             with pytest.raises(NotPositiveDefinite):
@@ -466,8 +471,9 @@ class TestPositiveDefinite:
 
         # f < 0 inside the circle r = 2, where g = I + s T is still positive
         # definite: the profile is no surface of revolution there
-        surface = ConicalSurface(f=lambda r: r * (r - 2.0), df=lambda r: 2.0 * r - 2.0,
-                                 d2f=lambda r: 2.0 + 0.0 * r, alpha=1.0)
+        surface = ConicalSurface(
+            lambda r, order: [r * (r - 2.0), 2.0 * r - 2.0, 2.0 + 0.0 * r][:order + 1],
+            alpha=1.0)
         spec = cone_metric_spec(surface)
         for order in (0, 1, 2):
             with pytest.raises(NotPositiveDefinite, match="f <= 0"):
@@ -484,9 +490,7 @@ class TestPointChecks:
         from afmass.metrics import NonPositiveConformalFactor, RadialProfile
 
         prof = RadialProfile(
-            u=lambda r: 1.0 - 2.0 / r,
-            du=lambda r: 2.0 / r ** 2,
-            d2u=lambda r: -4.0 / r ** 3,
+            lambda r, order: [1.0 - 2.0 / r, 2.0 / r ** 2, -4.0 / r ** 3][:order + 1],
             tail_coefficient=-2.0,
         )
         spec = conformally_flat(3, prof)

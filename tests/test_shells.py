@@ -12,7 +12,15 @@ from afmass.geometry import unit_sphere_area
 from afmass.mass import adm_mass
 from afmass.curvature import scalar_curvature
 from afmass import shells
-from afmass.metrics import metric_derivatives_at, metric_jet, scaled
+from afmass.cone import capped_cone, cone_blow_up_profile, perturbed_cone
+from afmass.metrics import (
+    euclidean,
+    harmonically_flat,
+    metric_derivatives_at,
+    metric_jet,
+    scaled,
+    schwarzschild,
+)
 from afmass.shells import (
     ShellDensity,
     _charge_function,
@@ -280,21 +288,52 @@ class TestSupportRows:
         assert nodes == [16, 16, 1]
 
 
+def _assert_jet_orders_agree(prof, readers, r):
+    """jet(r, 2)[:k + 1] equals jet(r, k) bit for bit for k = 0, 1, and each
+    reader (u, du, d2u or f, df, d2f) equals its entry of the jet."""
+    full = prof.jet(r, 2)
+    assert len(full) == 3, prof.name
+    calls = [prof.jet(r, k) for k in (0, 1)]
+    calls += [[getattr(prof, name)(r) for name in readers]]
+    for got in calls:
+        for a, b in zip(got, full):
+            assert a.dtype == b.dtype and a.shape == b.shape, prof.name
+            assert a.tobytes() == b.tobytes(), prof.name
+    assert [len(c) for c in calls] == [1, 2, 3]
+
+
+# every other radial jet the package builds: name -> its profile or surface
+RADIAL_JETS = {
+    "schwarzschild": lambda: schwarzschild(5, 1.3).family.radial_profile,
+    "harmonically-flat": lambda: harmonically_flat(4, 0.7).family.radial_profile,
+    "euclidean": lambda: euclidean(3).family.radial_profile,
+    "capped-cone": lambda: capped_cone(0.6),
+    "perturbed-cone": lambda: perturbed_cone(0.6),
+    "cone-blow-up": lambda: cone_blow_up_profile(capped_cone(0.6), 4.0),
+}
+
+
 class TestProfileJet:
-    """The shell profile's jet shares Q between u, u' and u''."""
+    """Each radial jet writes each order once: its low orders are the
+    leading entries of its order-2 jet, and u, du, d2u (f, df, d2f) read
+    them, which the benchmark's tracer wraps."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("i", [1, 2, 8])
     def test_jet_equals_the_separate_calls(self, n, i):
+        # cavity, support and tail radii, on the shell and its dilation
         r = _shell_radii(n, i)
         for prof in (solve_shell_potential(n, i),
                      scaled(shell_metric(n, i), 1.7).family.radial_profile):
-            separate = [prof.u(r), prof.du(r), prof.d2u(r)]
-            for order in (0, 1, 2):
-                jet = prof.jet(r, order)
-                assert len(jet) == order + 1
-                for got, want in zip(jet, separate):
-                    assert np.array_equal(got, want), (prof.name, order)
+            _assert_jet_orders_agree(prof, ("u", "du", "d2u"), r)
+
+    @pytest.mark.parametrize("name", sorted(RADIAL_JETS))
+    def test_every_radial_jet_reads_its_orders_alike(self, name):
+        # the cap (r < 1, or r < 4 blown up), its edge and the tail
+        r = np.concatenate([np.geomspace(0.05, 200.0, 17), [1.0, 4.0]])
+        prof = RADIAL_JETS[name]()
+        readers = ("u", "du", "d2u") if hasattr(prof, "u") else ("f", "df", "d2f")
+        _assert_jet_orders_agree(prof, readers, r)
 
     def test_one_charge_evaluation_per_jet(self, monkeypatch):
         calls = []
