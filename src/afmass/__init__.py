@@ -9,8 +9,8 @@ Library layout:
 * ``mass``       flux-integral mass and the quasi-local functional fg
 * ``weighted``   weighted norms, divergence-form mass, matter defects
 * ``shells``     conformal metrics sourced by escaping matter shells
-* ``sequences``  window convergence and semicontinuity experiments
-* ``cone``       2D conical surfaces and the angle-defect mass
+* ``sequences``  window convergence and every semicontinuity experiment
+* ``cone``       2D conical surfaces and their angle-defect mass
 * ``cli``        the ``afmass`` command-line tool
 """
 
@@ -23,7 +23,6 @@ from .cone import (
     capped_cone,
     cone_mass,
     cone_metric_spec,
-    cone_semicontinuity_experiment,
     geodesic_curvature_integral,
     perturbed_cone,
     total_gauss_curvature,
@@ -66,6 +65,7 @@ from .sequences import (
     WindowSample,
     blow_up_window,
     c2_window_distance,
+    cone_semicontinuity_experiment,
     escaping_window,
     run_semicontinuity_experiment,
 )

@@ -125,6 +125,14 @@ class RunConfig:
             raise ConfigInvalid(f"indices must be >= 1, got {indices}")
         return indices
 
+    def sequence_indices(self, default):
+        """indices(), strictly increasing: an experiment's verdict reads its
+        last two members."""
+        indices = self.indices(default)
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise ConfigInvalid(f"sequence indices must be strictly increasing, got {indices}")
+        return indices
+
     def surface(self):
         alpha = self.raw.get("alpha")
         if alpha is None:
@@ -321,7 +329,7 @@ def _cmd_sequence(cfg):
                 f" {entries} d2g entries; the limit is {MAX_WINDOW_ENTRIES}"
             )
     return _experiment_outputs(seq_mod.run_semicontinuity_experiment(
-        kind, n=n, indices=cfg.indices(default=(2, 4, 8, 16)), q=cfg.q, **kw
+        kind, n=n, indices=cfg.sequence_indices((2, 4, 8, 16)), q=cfg.q, **kw
     ))
 
 
@@ -334,13 +342,13 @@ def _cmd_cone_angle(cfg):
 
 def _cmd_cone_sequence(cfg):
     kind = cfg.raw.get("kind", "blow_up")
-    if kind not in cone_mod.CONE_EXPERIMENT_KINDS:
+    if kind not in seq_mod.CONE_EXPERIMENT_KINDS:
         raise ConfigInvalid(
-            f"cone sequence kind must be one of {cone_mod.CONE_EXPERIMENT_KINDS}"
+            f"cone sequence kind must be one of {seq_mod.CONE_EXPERIMENT_KINDS}"
         )
     alpha = _opening(cfg.raw.get("alpha", 0.7))
-    return _experiment_outputs(cone_mod.cone_semicontinuity_experiment(
-        kind, alpha=alpha, indices=cfg.indices(default=(4, 8, 16, 32))
+    return _experiment_outputs(seq_mod.cone_semicontinuity_experiment(
+        kind, alpha=alpha, indices=cfg.sequence_indices((4, 8, 16, 32))
     ))
 
 

@@ -25,6 +25,9 @@ terms far larger than K once alpha is small.  On that chart the
 Gauss-Bonnet integral of R sqrt(det g) over r <= 32 is off by 9e-6 at
 alpha = 1e-4 and by 29 at alpha = 1e-6 (capped cone), where the closed
 forms answer for every alpha in (0, 1].
+
+This module holds the surfaces and their mass only; the semicontinuity
+experiments on them live in sequences, next to the n-d ones.
 """
 
 import math
@@ -35,7 +38,6 @@ import numpy as np
 from .geometry import legendre_rule
 from .mass import extrapolate
 from .metrics import Family, GeometryError, MetricSpec, NotPositiveDefinite
-from .sequences import _experiment_report
 
 __all__ = [
     "EstimatesDisagree",
@@ -45,8 +47,6 @@ __all__ = [
     "geodesic_curvature_integral",
     "total_gauss_curvature",
     "cone_mass",
-    "cone_semicontinuity_experiment",
-    "CONE_EXPERIMENT_KINDS",
     "Cone2DFamily",
     "cone_metric_spec",
     "cone_blow_up_profile",
@@ -288,85 +288,3 @@ class Cone2DFamily(Family):
 
 def cone_metric_spec(surface, **kw):
     return MetricSpec(Cone2DFamily(surface), **kw)
-
-
-def _profile_c2_distance(prof, reference, rr):
-    """C^2 distance of two rotation profiles on the radii rr.
-
-    Compares the scale-free circumference ratio f/r plus both derivatives;
-    reference may be None (flat plane: f = r)."""
-    f, df, d2f = prof.jet(rr, 2)
-    if reference is None:
-        return max(
-            float(np.abs(f / rr - 1.0).max()),
-            float(np.abs(df - 1.0).max()),
-            float(np.abs(d2f).max()),
-        )
-    ref_f, ref_df, ref_d2f = reference.jet(rr, 2)
-    return max(
-        float(np.abs((f - ref_f) / rr).max()),
-        float(np.abs(df - ref_df).max()),
-        float(np.abs(d2f - ref_d2f).max()),
-    )
-
-
-CONE_EXPERIMENT_KINDS = ("blow_up", "escaping", "constant")
-
-#: the annulus lo < r < hi (scaled by 4 i for escaping windows) and its
-#: number of sample radii on which cone experiments measure C^2 distances
-CONE_WINDOW = (0.5, 1.0)
-CONE_WINDOW_SAMPLES = 64
-
-
-def cone_semicontinuity_experiment(kind="blow_up", alpha=0.7,
-                                   indices=(4, 8, 16, 32)):
-    """Semicontinuity experiments for the cone-angle mass.
-
-    blow_up   rescaled caps f_i(r) = i f(r/i): every member keeps mass
-              1 - alpha, yet on a fixed annulus the surfaces flatten to the
-              plane (limit mass 0) at C^2 rate i^{-2} -- a strict drop.
-    escaping  windows of perturbed_cone(alpha) around escaping radii: the
-              limit is the exact cone, same mass, drop 0, rate i^{-(tau+1)}
-              with tau = 1.
-    constant  the same surface at every index; distances exactly zero.
-    """
-    if kind not in CONE_EXPERIMENT_KINDS:
-        raise ValueError(f"kind must be one of {CONE_EXPERIMENT_KINDS}")
-    indices = tuple(int(i) for i in indices)
-    lo, hi = CONE_WINDOW
-    masses = []
-    distances = []
-    if kind == "blow_up":
-        base = capped_cone(alpha)
-        rr = np.linspace(lo, hi, CONE_WINDOW_SAMPLES)
-        for i in indices:
-            prof = cone_blow_up_profile(base, float(i))
-            # evaluation radii must clear the rescaled cap
-            masses.append(
-                cone_mass(prof, radii=(4.0 * i, 8.0 * i, 16.0 * i, 32.0 * i)).value
-            )
-            distances.append(_profile_c2_distance(prof, None, rr))
-        limit_mass = 0.0
-        expected = 2.0
-        label = f"cone cap blow-up (alpha={alpha})"
-    elif kind == "escaping":
-        prof = perturbed_cone(alpha)
-        exact = capped_cone(alpha)
-        for i in indices:
-            rr = np.linspace(4.0 * i * lo, 4.0 * i * hi, CONE_WINDOW_SAMPLES)
-            masses.append(cone_mass(prof, radii=tuple(2.0 ** k * i for k in range(2, 6))).value)
-            distances.append(_profile_c2_distance(prof, exact, rr))
-        limit_mass = 1.0 - alpha
-        expected = 2.0
-        label = f"escaping windows on perturbed cone (alpha={alpha})"
-    else:
-        m = cone_mass(capped_cone(alpha)).value
-        masses = [m for _ in indices]
-        distances = [0.0 for _ in indices]
-        limit_mass = m
-        expected = math.inf
-        label = f"constant cone sequence (alpha={alpha})"
-    return _experiment_report(
-        label, f"cone_{kind}", indices, masses, limit_mass, distances,
-        expected, {"alpha": alpha, "window": list(CONE_WINDOW)},
-    )

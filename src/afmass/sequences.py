@@ -2,14 +2,17 @@
 
 The central phenomenon: a sequence of asymptotically flat metrics can
 converge in local C^2 norm to a limit of strictly smaller total mass (mass
-escapes to infinity), while the reverse jump can never happen.  Each
-experiment here builds such a sequence, measures
+escapes to infinity), while the reverse jump can never happen.  Every
+experiment kind lives here, the n-d ones (run_semicontinuity_experiment)
+and the 2-d cone ones (cone_semicontinuity_experiment), whose mass is the
+angle defect.  A kind is one member function i -> (mass, window distance):
 
-* the mass of every member,
+* the mass of the i-th member,
 * the C^2 distance between a fixed-size window of the member and the same
-  window of the limit metric,
+  window of the limit,
 
-and fits the decay exponent of the distances, then checks the
+and one driver, _experiment_report, runs it over strictly increasing
+indices, fits the decay exponent of the distances and checks the
 semicontinuity verdict liminf mass_i >= mass_limit.
 """
 
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cone import capped_cone, cone_blow_up_profile, cone_mass, perturbed_cone
 from .geometry import BLOCK_ENTRIES
 from .mass import adm_mass
 from .metrics import (
@@ -39,6 +43,8 @@ __all__ = [
     "ExperimentReport",
     "run_semicontinuity_experiment",
     "EXPERIMENT_KINDS",
+    "cone_semicontinuity_experiment",
+    "CONE_EXPERIMENT_KINDS",
 ]
 
 
@@ -57,8 +63,6 @@ class WindowSample:
     grid holds window coordinates (N, n); g, dg, d2g are the batched value
     and derivative arrays of the window metric at those points."""
 
-    index: float
-    center: np.ndarray
     grid: np.ndarray
     g: np.ndarray
     dg: np.ndarray
@@ -110,8 +114,7 @@ def blow_up_window(spec, p, i, half_width=1.0, q=4):
     for s in range(0, len(pts), step):
         for k, d in enumerate(metric_jet(spec, pts[s:s + step])):
             jet[k][s:s + step] = _in_frame(d, A) / i ** k
-    return WindowSample(index=float(i), center=p, grid=grid, g=jet[0],
-                        dg=jet[1], d2g=jet[2])
+    return WindowSample(grid=grid, g=jet[0], dg=jet[1], d2g=jet[2])
 
 
 def _in_frame(t, A):
@@ -130,8 +133,7 @@ def escaping_window(spec, center, half_width=1.0, q=4):
     pts = center[None, :] + grid
     _check_window(spec, pts)
     g, dg, d2g = metric_jet(spec, pts)
-    return WindowSample(index=float(np.linalg.norm(center)), center=center,
-                        grid=grid, g=g, dg=dg, d2g=d2g)
+    return WindowSample(grid=grid, g=g, dg=dg, d2g=d2g)
 
 
 def c2_window_distance(sample, other=None):
@@ -209,15 +211,24 @@ def _fit_exponent(indices, distances):
     return -float(slope)
 
 
-def _experiment_report(label, kind, indices, masses, limit_mass, distances,
-                       expected, details):
-    """The report of every experiment kind, n-d and cone alike: fits the
-    window exponent and decides the verdict liminf mass_i >= limit_mass,
-    the liminf taken over the last two members, to within 1e-9."""
+def _experiment_report(label, kind, indices, member, limit_mass, expected,
+                       details):
+    """The report of every experiment kind, n-d and cone alike.
+
+    member(i) -> (mass, window distance) of the i-th member, called once per
+    index in order; indices must be strictly increasing (ValueError), as
+    the verdict reads the last two members.  Fits the window exponent and
+    decides the verdict liminf mass_i >= limit_mass, the liminf taken over
+    the last two members, to within 1e-9."""
+    indices = tuple(int(i) for i in indices)
+    if not indices or any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(
+            f"indices must be non-empty and strictly increasing, got {list(indices)}")
+    masses, distances = zip(*(member(i) for i in indices))
     liminf = min(masses[-2:])
     return ExperimentReport(
-        label=label, kind=kind, indices=tuple(indices), masses=tuple(masses),
-        limit_mass=limit_mass, distances=tuple(distances),
+        label=label, kind=kind, indices=indices, masses=masses,
+        limit_mass=limit_mass, distances=distances,
         exponent=_fit_exponent(indices, distances), expected_exponent=expected,
         verdict=liminf >= limit_mass - 1e-9, drop=liminf - limit_mass,
         details=details,
@@ -245,54 +256,109 @@ def run_semicontinuity_experiment(kind, n=3, indices=(2, 4, 8, 16),
     """
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}")
-    indices = tuple(int(i) for i in indices)
-
     if kind == "constant":
         m = adm_mass(schwarzschild(n, 1.0), q=q).value
-        masses = [m for _ in indices]
-        distances = [0.0 for _ in indices]
-        expected = math.inf
-        limit_mass = m
-        details = {}
+
+        def member(i):
+            return m, 0.0
+        limit_mass, expected, details = m, math.inf, {}
     elif kind == "blow_up":
         spec = schwarzschild(n, 1.0)
         p = np.full(n, 3.0 / math.sqrt(n))
-        masses = [adm_mass(scaled(spec, float(i)), q=q).value for i in indices]
-        distances = [
-            c2_window_distance(blow_up_window(spec, p, i, half_width, grid_q))
-            for i in indices
-        ]
-        expected = 1.0
-        limit_mass = 0.0
-        details = {"center": list(p)}
+
+        def member(i):
+            window = blow_up_window(spec, p, i, half_width, grid_q)
+            return adm_mass(scaled(spec, float(i)), q=q).value, c2_window_distance(window)
+        limit_mass, expected, details = 0.0, 1.0, {"center": list(p)}
     elif kind == "escaping":
         spec = schwarzschild(n, 1.0)
-        m_i = adm_mass(spec, q=q).value
-        masses = [m_i for _ in indices]
-        distances = []
-        for i in indices:
+        m = adm_mass(spec, q=q).value
+
+        def member(i):
             center = np.zeros(n)
             center[0] = float(i) * 4.0
-            distances.append(
-                c2_window_distance(escaping_window(spec, center, half_width, grid_q))
-            )
-        expected = float(n - 2)
-        limit_mass = 0.0
-        details = {"direction": "x1", "speed": 4.0}
+            return m, c2_window_distance(escaping_window(spec, center, half_width, grid_q))
+        limit_mass, expected, details = 0.0, float(n - 2), {"direction": "x1", "speed": 4.0}
     else:  # shells
-        masses = []
-        distances = []
-        for i in indices:
+        def member(i):
             spec_i = shell_metric(n, i)
-            masses.append(spec_i.family.mass_hint)
-            distances.append(
-                c2_window_distance(
-                    escaping_window(spec_i, 0.21 * np.ones(n), half_width, grid_q)
-                )
-            )
-        expected = float(n - 2)
-        limit_mass = 0.0
-        details = {"member_mass": shell_mass(n)}
-
+            window = escaping_window(spec_i, 0.21 * np.ones(n), half_width, grid_q)
+            return spec_i.family.mass_hint, c2_window_distance(window)
+        limit_mass, expected, details = 0.0, float(n - 2), {"member_mass": shell_mass(n)}
     return _experiment_report(f"{kind} sequence (n={n})", kind, indices,
-                              masses, limit_mass, distances, expected, details)
+                              member, limit_mass, expected, details)
+
+
+def _profile_c2_distance(prof, reference, rr):
+    """C^2 distance of two rotation profiles on the radii rr.
+
+    Compares the scale-free circumference ratio f/r plus both derivatives;
+    reference may be None (flat plane: f = r)."""
+    f, df, d2f = prof.jet(rr, 2)
+    if reference is None:
+        return max(
+            float(np.abs(f / rr - 1.0).max()),
+            float(np.abs(df - 1.0).max()),
+            float(np.abs(d2f).max()),
+        )
+    ref_f, ref_df, ref_d2f = reference.jet(rr, 2)
+    return max(
+        float(np.abs((f - ref_f) / rr).max()),
+        float(np.abs(df - ref_df).max()),
+        float(np.abs(d2f - ref_d2f).max()),
+    )
+
+
+CONE_EXPERIMENT_KINDS = ("blow_up", "escaping", "constant")
+
+#: the annulus lo < r < hi (scaled by 4 i for escaping windows) and its
+#: number of sample radii on which cone experiments measure C^2 distances
+CONE_WINDOW = (0.5, 1.0)
+CONE_WINDOW_SAMPLES = 64
+
+
+def cone_semicontinuity_experiment(kind="blow_up", alpha=0.7,
+                                   indices=(4, 8, 16, 32)):
+    """Semicontinuity experiments for the cone-angle mass.
+
+    blow_up   rescaled caps f_i(r) = i f(r/i): every member keeps mass
+              1 - alpha, yet on a fixed annulus the surfaces flatten to the
+              plane (limit mass 0) at C^2 rate i^{-2} -- a strict drop.
+    escaping  windows of perturbed_cone(alpha) around escaping radii: the
+              limit is the exact cone, same mass, drop 0, rate i^{-(tau+1)}
+              with tau = 1.
+    constant  the same surface at every index; distances exactly zero.
+    """
+    if kind not in CONE_EXPERIMENT_KINDS:
+        raise ValueError(f"kind must be one of {CONE_EXPERIMENT_KINDS}")
+    lo, hi = CONE_WINDOW
+    if kind == "blow_up":
+        base = capped_cone(alpha)
+        rr = np.linspace(lo, hi, CONE_WINDOW_SAMPLES)
+
+        def member(i):
+            prof = cone_blow_up_profile(base, float(i))
+            # evaluation radii must clear the rescaled cap
+            radii = (4.0 * i, 8.0 * i, 16.0 * i, 32.0 * i)
+            return cone_mass(prof, radii=radii).value, _profile_c2_distance(prof, None, rr)
+        limit_mass, expected, label = 0.0, 2.0, f"cone cap blow-up (alpha={alpha})"
+    elif kind == "escaping":
+        prof = perturbed_cone(alpha)
+        exact = capped_cone(alpha)
+
+        def member(i):
+            rr = np.linspace(4.0 * i * lo, 4.0 * i * hi, CONE_WINDOW_SAMPLES)
+            radii = tuple(2.0 ** k * i for k in range(2, 6))
+            return cone_mass(prof, radii=radii).value, _profile_c2_distance(prof, exact, rr)
+        limit_mass, expected = 1.0 - alpha, 2.0
+        label = f"escaping windows on perturbed cone (alpha={alpha})"
+    else:
+        m = cone_mass(capped_cone(alpha)).value
+
+        def member(i):
+            return m, 0.0
+        limit_mass, expected, label = m, math.inf, f"constant cone sequence (alpha={alpha})"
+    return _experiment_report(
+        label, f"cone_{kind}", indices, member, limit_mass, expected,
+        {"alpha": alpha, "window": list(CONE_WINDOW)},
+    )

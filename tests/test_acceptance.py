@@ -13,7 +13,6 @@ import pytest
 from afmass.cone import (
     capped_cone,
     cone_mass,
-    cone_semicontinuity_experiment,
     geodesic_curvature_integral,
     total_gauss_curvature,
 )
@@ -35,7 +34,7 @@ from afmass.metrics import (
     scaled,
     schwarzschild,
 )
-from afmass.sequences import run_semicontinuity_experiment
+from afmass.sequences import cone_semicontinuity_experiment, run_semicontinuity_experiment
 from afmass.shells import shell_mass, shell_metric
 from afmass.spheres import (
     _geometry_at,

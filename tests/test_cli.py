@@ -169,8 +169,16 @@ class TestConfigValidation:
          "spec": SCHWARZSCHILD_N3},
         {"command": "sequence", "kind": "shells", "n": 3, "resolution": 1000},
         {"command": "sequence", "kind": "blow_up", "n": 7, "resolution": 5},
+        # the verdict reads the last two members: a repeated index fits an
+        # exponent to one point, a decreasing list takes the wrong liminf
+        {"command": "sequence", "kind": "constant", "q": 4, "indices": [4, 4]},
+        {"command": "sequence", "kind": "blow_up", "indices": [16, 8, 4, 2]},
+        {"command": "cone-sequence", "kind": "constant", "indices": [4, 4]},
+        {"command": "cone-sequence", "kind": "blow_up", "indices": [16, 8, 4, 2]},
     ], ids=["shells-index-0", "blow_up-n2", "adm-mass-n9", "q-257",
-            "window-n3-resolution-1000", "window-n7-resolution-5"])
+            "window-n3-resolution-1000", "window-n7-resolution-5",
+            "sequence-repeated-indices", "sequence-decreasing-indices",
+            "cone-sequence-repeated-indices", "cone-sequence-decreasing-indices"])
     def test_out_of_range_exit_2(self, tmp_path, capsys, doc):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afmass import sequences
 from afmass.cone import (
-    CONE_EXPERIMENT_KINDS,
     ConicalSurface,
     EstimatesDisagree,
     capped_cone,
     cone_blow_up_profile,
     cone_mass,
     cone_metric_spec,
-    cone_semicontinuity_experiment,
     geodesic_curvature_integral,
     perturbed_cone,
     total_gauss_curvature,
@@ -24,6 +23,7 @@ from afmass.metrics import (
     scaled,
     translated,
 )
+from afmass.sequences import CONE_EXPERIMENT_KINDS, cone_semicontinuity_experiment
 
 from cone_reference import reference_gauss_curvature
 from fd_reference import fd4_metric_derivatives
@@ -303,6 +303,28 @@ class TestConeExperiments:
         assert set(CONE_EXPERIMENT_KINDS) == {"blow_up", "escaping", "constant"}
         with pytest.raises(ValueError):
             cone_semicontinuity_experiment("nope")
+
+    @pytest.mark.parametrize("kind, name", [("constant", "cone_mass"),
+                                            ("blow_up", "capped_cone")])
+    def test_one_surface_for_every_member(self, monkeypatch, kind, name):
+        # the constant mass and the blow-up's base cap are built once
+        calls = []
+        original = getattr(sequences, name)
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return original(*args, **kw)
+
+        monkeypatch.setattr(sequences, name, counting)
+        rep = cone_semicontinuity_experiment(kind, alpha=0.7, indices=(4, 8, 16))
+        assert len(calls) == 1
+        assert len(rep.masses) == 3
+
+    @pytest.mark.parametrize("kind", ["blow_up", "escaping", "constant"])
+    @pytest.mark.parametrize("indices", [(4, 4), (16, 8, 4, 2)])
+    def test_indices_must_increase(self, kind, indices):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cone_semicontinuity_experiment(kind, alpha=0.7, indices=indices)
 
     def test_blow_up_profile_rescaling(self):
         s = capped_cone(0.7)

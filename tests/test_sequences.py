@@ -24,6 +24,7 @@ from afmass.sequences import (
     run_semicontinuity_experiment,
     window_grid,
 )
+from afmass.shells import shell_metric
 
 
 class TestWindowGrid:
@@ -200,7 +201,8 @@ class TestC2Distance:
 
 
 class TestExperiments:
-    def test_constant_sequence_equality(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["constant", "escaping"])
+    def test_constant_sequence_equality(self, monkeypatch, kind):
         calls = []
 
         def counting(spec, **kw):
@@ -209,13 +211,25 @@ class TestExperiments:
 
         # every member is the same metric: its mass is computed once
         monkeypatch.setattr(sequences, "adm_mass", counting)
-        rep = run_semicontinuity_experiment("constant", n=3, indices=(1, 2, 3))
+        rep = run_semicontinuity_experiment(kind, n=3, indices=(1, 2, 3))
         assert len(calls) == 1
         assert rep.verdict
-        assert rep.drop == 0.0
-        assert all(d == 0.0 for d in rep.distances)
         assert rep.masses == (rep.masses[0],) * 3
         assert rep.masses[0] == pytest.approx(1.0, rel=1e-3)
+        if kind == "constant":
+            assert rep.drop == 0.0
+            assert all(d == 0.0 for d in rep.distances)
+
+    def test_shells_build_one_metric_per_index(self, monkeypatch):
+        built = []
+
+        def counting(n, i):
+            built.append(i)
+            return shell_metric(n, i)
+
+        monkeypatch.setattr(sequences, "shell_metric", counting)
+        run_semicontinuity_experiment("shells", n=3, indices=(2, 4, 8), grid_q=2)
+        assert built == [2, 4, 8]
 
     @pytest.mark.parametrize("kind", ["blow_up", "escaping", "shells"])
     def test_mass_drop_sequences(self, kind):
@@ -244,13 +258,25 @@ class TestExperiments:
     def test_verdict_tolerance(self):
         # liminf over the last two masses, against the limit less 1e-9
         def report(masses):
+            members = dict(zip((1, 2, 4), zip(masses, (1.0, 0.5, 0.25))))
             return sequences._experiment_report(
-                "x", "x", (1, 2, 4), masses, 1.0, (1.0, 0.5, 0.25), 1.0, {})
+                "x", "x", (1, 2, 4), members.__getitem__, 1.0, 1.0, {})
 
         held = report((0.0, 1.0 - 5e-10, 2.0))
         assert held.verdict and held.drop == pytest.approx(-5e-10)
         assert held.exponent == pytest.approx(1.0)
         assert not report((2.0, 1.0 - 2e-9, 2.0)).verdict
+
+    @pytest.mark.parametrize("indices", [(4, 4), (16, 8, 4, 2), ()])
+    def test_indices_must_increase(self, indices):
+        def member(i):
+            raise AssertionError("no member is computed")
+
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sequences._experiment_report("x", "x", indices, member, 0.0, 1.0, {})
+        for kind in EXPERIMENT_KINDS:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                run_semicontinuity_experiment(kind, n=3, indices=indices, q=4)
 
     def test_report_serialization(self):
         rep = run_semicontinuity_experiment("constant", n=3, indices=(1, 2))
